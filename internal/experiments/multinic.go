@@ -215,11 +215,13 @@ func RunLinkFailover(opts FailoverOpts) (FailoverResult, error) {
 	}
 	deadDev := lan.DeviceOf("b", 0)
 	survivorDev := lan.DeviceOf("b", 1)
-	deadFramesAtCut := deadDev.Stats().RxFrames
 	survivorBytesAtCut := survivorDev.Stats().RxBytes
 	atCut := meter.Total()
 	cutAt := time.Now()
 	lan.SetLink("a", 0, false)
+	// Sampled after the cut: frames completing up to it count as before
+	// it, and the device drops any frame that had not completed by then.
+	deadFramesAtCut := deadDev.Stats().RxFrames
 
 	// Recovery: the receiver moves RecoveryBytes past its at-cut total.
 	res := FailoverResult{}

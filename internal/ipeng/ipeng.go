@@ -195,8 +195,8 @@ type inPkt struct {
 	portsOK bool
 	// GRO metadata, parsed at intake alongside the ports: data-bearing
 	// TCP segments with only ACK(+PSH) set are coalescing candidates
-	// (groOK); the sequence/ack/window fields decide in-order same-flow
-	// adjacency in the shard's GRO slot.
+	// (groOK); the sequence/ack/window fields and the option bytes decide
+	// in-order same-flow adjacency in the shard's GRO slot.
 	groOK      bool
 	tcpSeq     uint32
 	tcpAckNo   uint32
@@ -204,6 +204,7 @@ type inPkt struct {
 	tcpFlags   uint8
 	tcpDataOff uint32
 	tcpPayLen  uint32
+	tcpOpts    []byte // option bytes, a view into buf
 }
 
 // GRO tuning: a merged delivery carries at most groMaxSegs segments (the
@@ -226,6 +227,7 @@ type groSlot struct {
 	nextSeq uint32
 	ack     uint32
 	wnd     uint16
+	opts    []byte
 	bytes   uint32
 	pkts    []*inPkt
 }
@@ -1143,6 +1145,7 @@ func (e *Engine) handleIPv4(ifc *iface, name string, buf shm.RichPtr, view []byt
 				pkt.tcpFlags = th.Flags
 				pkt.tcpDataOff = uint32(th.DataOff)
 				pkt.tcpPayLen = uint32(len(l4) - th.DataOff)
+				pkt.tcpOpts = l4[netpkt.TCPHeaderLen:th.DataOff]
 				pkt.groOK = th.Flags&^(netpkt.TCPAck|netpkt.TCPPsh) == 0 &&
 					th.Flags&netpkt.TCPAck != 0 && pkt.tcpPayLen > 0
 			}
@@ -1222,10 +1225,11 @@ func (e *Engine) groAdd(shard int, pkt *inPkt) {
 		slot.srcIP == pkt.srcIP && slot.dstIP == pkt.dstIP &&
 		slot.srcPort == pkt.srcPort && slot.dstPort == pkt.dstPort &&
 		slot.nextSeq == pkt.tcpSeq &&
-		// Identical ack/window required: the merged delivery carries only
-		// the first segment's header, which must fully represent the
-		// run's control information.
+		// Identical ack/window/options required: the merged delivery
+		// carries only the first segment's header, which must fully
+		// represent the run's control information (SACK blocks included).
 		slot.ack == pkt.tcpAckNo && slot.wnd == pkt.tcpWnd &&
+		bytes.Equal(slot.opts, pkt.tcpOpts) &&
 		len(slot.pkts) < groMaxSegs && slot.bytes+pkt.tcpPayLen <= groMaxBytes {
 		slot.pkts = append(slot.pkts, pkt)
 		slot.nextSeq += pkt.tcpPayLen
@@ -1237,7 +1241,7 @@ func (e *Engine) groAdd(shard int, pkt *inPkt) {
 	slot.srcIP, slot.dstIP = pkt.srcIP, pkt.dstIP
 	slot.srcPort, slot.dstPort = pkt.srcPort, pkt.dstPort
 	slot.nextSeq = pkt.tcpSeq + pkt.tcpPayLen
-	slot.ack, slot.wnd = pkt.tcpAckNo, pkt.tcpWnd
+	slot.ack, slot.wnd, slot.opts = pkt.tcpAckNo, pkt.tcpWnd, pkt.tcpOpts
 	slot.bytes = pkt.tcpPayLen
 	slot.pkts = append(slot.pkts[:0], pkt)
 }

@@ -394,7 +394,9 @@ func (d *Device) complete(gen uint32, c TxCompletion) {
 
 // receiveFrame is called by the wire when a frame arrives: the device DMAs
 // it into the next posted RX buffer, verifies checksums (RX offload), and
-// raises an interrupt.
+// raises an interrupt. Carrier is checked again under the lock before the
+// frame completes: a link cut during the copy drops the frame (the buffer
+// goes back to the ring), so no frame is counted received after the cut.
 func (d *Device) receiveFrame(frame []byte) {
 	d.mu.Lock()
 	if !d.linkOKLocked() {
@@ -409,6 +411,7 @@ func (d *Device) receiveFrame(frame []byte) {
 	}
 	buf := d.rxFree[0]
 	d.rxFree = d.rxFree[1:]
+	gen := d.gen
 	d.mu.Unlock()
 
 	view, err := d.space.View(buf)
@@ -424,9 +427,17 @@ func (d *Device) receiveFrame(frame []byte) {
 		csumOK = verifyChecksums(frame)
 	}
 	d.mu.Lock()
+	if !d.linkOKLocked() {
+		if gen == d.gen { // a reset in between dropped every posted buffer
+			d.rxFree = append(d.rxFree, buf)
+		}
+		d.mu.Unlock()
+		d.stats.rxLinkDown.Add(1)
+		return
+	}
 	d.rxDone = append(d.rxDone, RxCompletion{Ptr: buf.Slice(0, uint32(len(frame))), Len: len(frame), CsumOK: csumOK})
-	d.mu.Unlock()
 	d.stats.rxFrames.Add(1)
 	d.stats.rxBytes.Add(uint64(len(frame)))
+	d.mu.Unlock()
 	d.raiseIRQ()
 }

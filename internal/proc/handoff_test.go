@@ -139,3 +139,25 @@ func TestUpgradeNotRunning(t *testing.T) {
 		t.Fatal("expected error upgrading a stopped proc")
 	}
 }
+
+// TestAwaitHandoffPrefersResult: the old loop sends its handoff result and
+// then exits, so both channels can be ready when Upgrade waits. A sent
+// result must win every time; only an exit without one is a crash.
+func TestAwaitHandoffPrefersResult(t *testing.T) {
+	for i := 0; i < 1000; i++ {
+		req := &handoffReq{done: make(chan handoffRes, 1)}
+		done := make(chan struct{})
+		req.done <- handoffRes{state: i}
+		close(done)
+		res, ok := awaitHandoff(req, done)
+		if !ok || res.state != i {
+			t.Fatalf("round %d: completed handoff reported as a crash", i)
+		}
+	}
+	req := &handoffReq{done: make(chan handoffRes, 1)}
+	done := make(chan struct{})
+	close(done)
+	if _, ok := awaitHandoff(req, done); ok {
+		t.Fatal("exit without a result reported as a handoff")
+	}
+}

@@ -253,6 +253,25 @@ func (p *Proc) Restart() error {
 	return p.launch(true)
 }
 
+// awaitHandoff waits for the old loop's handoff result. The loop sends its
+// result and then exits, so by the time the caller selects both channels
+// may be ready, and select picks at random: a closed done channel is only
+// a crash when no result was sent before it. False means the incarnation
+// died without handing off.
+func awaitHandoff(req *handoffReq, done <-chan struct{}) (handoffRes, bool) {
+	select {
+	case res := <-req.done:
+		return res, true
+	case <-done:
+		select {
+		case res := <-req.done:
+			return res, true
+		default:
+			return handoffRes{}, false
+		}
+	}
+}
+
 // Upgrade swaps the running incarnation for a successor as a planned live
 // update. When the service implements Handoffer, the swap is a
 // drain-and-handoff: the old loop quiesces at a batch boundary, serializes
@@ -291,10 +310,8 @@ func (p *Proc) Upgrade() (HandoffReport, error) {
 		return HandoffReport{}, fmt.Errorf("proc %s: incarnation died before handoff", p.name)
 	}
 	inc.rt.Bell.Ring()
-	var res handoffRes
-	select {
-	case res = <-req.done:
-	case <-inc.done:
+	res, ok := awaitHandoff(req, inc.done)
+	if !ok {
 		// Crashed mid-drain: the crash path owns recovery from here.
 		return HandoffReport{}, fmt.Errorf("proc %s: crashed during handoff", p.name)
 	}

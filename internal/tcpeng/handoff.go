@@ -3,8 +3,9 @@ package tcpeng
 // Live-update state transfer (docs/ARCHITECTURE.md "Zero-downtime live
 // update"). HandoffState serializes the engine's complete live state as one
 // gob blob — every pcb with its stream chunks, receive queue, congestion
-// state and parked timer deadlines, plus the request database's in-flight
-// sends and the un-drained outbound batches — and collects the live
+// and loss-recovery state (scoreboard, out-of-order queue) and parked timer
+// deadlines, plus the request database's in-flight sends and the
+// un-drained outbound batches — and collects the live
 // *sockbuf.Buf handles that cross the handoff by pointer (their pools live
 // in the node's shm.Space, which outlives incarnations, so every rich
 // pointer in the blob stays valid). RestoreHandoff rebuilds the engine in a
@@ -19,7 +20,9 @@ package tcpeng
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"time"
 
@@ -59,7 +62,6 @@ type handoffPCB struct {
 	ISS      uint32
 	SndUna   uint32
 	SndNxt   uint32
-	SndMax   uint32
 	SndWnd   uint32
 	Cwnd     uint32
 	Ssthresh uint32
@@ -75,13 +77,11 @@ type handoffPCB struct {
 	RTTVar      time.Duration
 	RTO         time.Duration
 	RTOAt       time.Time
-	RTTSeq      uint32
-	RTTStart    time.Time
 	RetxCount   int
 	RetxMark    uint32
 	RetxPending int32
-	DupAcks     int
-	Recover     uint32
+	SACKOK      bool
+	Loss        []byte // packLoss; nil when the pcb holds no loss state
 
 	IRS        uint32
 	RcvNxt     uint32
@@ -211,7 +211,6 @@ func capturePCB(p *pcb) handoffPCB {
 		ISS:      p.iss,
 		SndUna:   p.sndUna,
 		SndNxt:   p.sndNxt,
-		SndMax:   p.sndMax,
 		SndWnd:   p.sndWnd,
 		Cwnd:     p.cwnd,
 		Ssthresh: p.ssthresh,
@@ -226,13 +225,10 @@ func capturePCB(p *pcb) handoffPCB {
 		RTTVar:      p.rttvar,
 		RTO:         p.rto,
 		RTOAt:       p.rtoAt,
-		RTTSeq:      p.rttSeq,
-		RTTStart:    p.rttStart,
 		RetxCount:   p.retxCount,
 		RetxMark:    p.retxMark,
 		RetxPending: p.retxPending,
-		DupAcks:     p.dupAcks,
-		Recover:     p.recover,
+		SACKOK:      p.sackOK,
 
 		IRS:        p.irs,
 		RcvNxt:     p.rcvNxt,
@@ -258,6 +254,9 @@ func capturePCB(p *pcb) handoffPCB {
 	}
 	for _, rx := range p.rcvQ {
 		h.RcvQ = append(h.RcvQ, handoffRx{Payload: rx.payload, DeliverID: rx.deliverID, Consumed: rx.consumed})
+	}
+	if p.loss != nil {
+		h.Loss = packLoss(p.loss)
 	}
 	return h
 }
@@ -332,7 +331,6 @@ func (e *Engine) restorePCB(h *handoffPCB, buf *sockbuf.Buf) error {
 	p.iss = h.ISS
 	p.sndUna = h.SndUna
 	p.sndNxt = h.SndNxt
-	p.sndMax = h.SndMax
 	p.sndWnd = h.SndWnd
 	p.cwnd = h.Cwnd
 	p.ssthresh = h.Ssthresh
@@ -349,13 +347,15 @@ func (e *Engine) restorePCB(h *handoffPCB, buf *sockbuf.Buf) error {
 	p.srtt = h.SRTT
 	p.rttvar = h.RTTVar
 	p.rto = h.RTO
-	p.rttSeq = h.RTTSeq
-	p.rttStart = h.RTTStart
 	p.retxCount = h.RetxCount
 	p.retxMark = h.RetxMark
 	p.retxPending = h.RetxPending
-	p.dupAcks = h.DupAcks
-	p.recover = h.Recover
+	p.sackOK = h.SACKOK
+	if h.Loss != nil {
+		if err := unpackLoss(h.Loss, e.lossFor(p)); err != nil {
+			return fmt.Errorf("tcpeng: handoff pcb %d: %w", h.ID, err)
+		}
+	}
 
 	p.irs = h.IRS
 	p.rcvNxt = h.RcvNxt
@@ -451,4 +451,119 @@ func (e *Engine) announceReadiness(p *pcb) {
 	if bits != 0 {
 		e.event(p, bits)
 	}
+}
+
+// packLoss encodes a loss state for the handoff blob as plain bytes: gob
+// describes and compiles every struct type afresh on each live update, and
+// three more of them would lengthen every swap pause for state that most
+// pcbs do not even hold. Times travel as Unix nanoseconds (0 = zero time).
+func packLoss(ls *lossState) []byte {
+	be := binary.BigEndian
+	b := make([]byte, 0, 48+len(ls.ooo)*32+len(ls.segs)*17)
+	b = be.AppendUint32(b, ls.oooLast)
+	b = append(b, ls.recovery, ls.timer, boolByte(ls.force), boolByte(ls.tlpOut))
+	b = be.AppendUint32(b, ls.recoverPt)
+	b = be.AppendUint32(b, uint32(ls.dupAcks))
+	b = be.AppendUint64(b, unixNano(ls.rackAt))
+	b = be.AppendUint32(b, ls.rackEnd)
+	b = be.AppendUint64(b, unixNano(ls.reoAt))
+	b = be.AppendUint32(b, uint32(len(ls.ooo)))
+	for _, o := range ls.ooo {
+		b = be.AppendUint32(b, o.seq)
+		b = be.AppendUint32(b, uint32(o.payload.Pool))
+		b = be.AppendUint32(b, o.payload.Gen)
+		b = be.AppendUint32(b, o.payload.Off)
+		b = be.AppendUint32(b, o.payload.Len)
+		b = be.AppendUint64(b, o.deliverID)
+	}
+	b = be.AppendUint32(b, uint32(len(ls.segs)))
+	for _, s := range ls.segs {
+		b = be.AppendUint32(b, s.start)
+		b = be.AppendUint32(b, s.end)
+		b = be.AppendUint64(b, unixNano(s.at))
+		b = append(b, s.flags)
+	}
+	return b
+}
+
+var errLossBlob = errors.New("truncated loss state")
+
+// unpackLoss decodes packLoss's bytes into ls (fresh from lossFor) and
+// recomputes the scoreboard's byte counters.
+func unpackLoss(b []byte, ls *lossState) error {
+	be := binary.BigEndian
+	take := func(n int) []byte {
+		if len(b) < n {
+			return nil
+		}
+		v := b[:n]
+		b = b[n:]
+		return v
+	}
+	h := take(36)
+	if h == nil {
+		return errLossBlob
+	}
+	ls.oooLast = be.Uint32(h[0:])
+	ls.recovery, ls.timer, ls.force, ls.tlpOut = h[4], h[5], h[6] != 0, h[7] != 0
+	ls.recoverPt = be.Uint32(h[8:])
+	ls.dupAcks = int(be.Uint32(h[12:]))
+	ls.rackAt = fromUnixNano(be.Uint64(h[16:]))
+	ls.rackEnd = be.Uint32(h[24:])
+	ls.reoAt = fromUnixNano(be.Uint64(h[28:]))
+	n := take(4)
+	if n == nil {
+		return errLossBlob
+	}
+	for i := be.Uint32(n); i > 0; i-- {
+		v := take(28)
+		if v == nil {
+			return errLossBlob
+		}
+		ls.ooo = append(ls.ooo, oooSeg{
+			seq: be.Uint32(v[0:]),
+			payload: shm.RichPtr{Pool: shm.PoolID(be.Uint32(v[4:])), Gen: be.Uint32(v[8:]),
+				Off: be.Uint32(v[12:]), Len: be.Uint32(v[16:])},
+			deliverID: be.Uint64(v[20:]),
+		})
+	}
+	if n = take(4); n == nil {
+		return errLossBlob
+	}
+	for i := be.Uint32(n); i > 0; i-- {
+		v := take(17)
+		if v == nil {
+			return errLossBlob
+		}
+		s := txSeg{start: be.Uint32(v[0:]), end: be.Uint32(v[4:]), at: fromUnixNano(be.Uint64(v[8:])), flags: v[16]}
+		ls.segs = append(ls.segs, s)
+		if s.flags&segSACKed != 0 {
+			ls.sacked += s.len()
+		}
+		if s.flags&segLost != 0 {
+			ls.lost += s.len()
+		}
+	}
+	return nil
+}
+
+func boolByte(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
+}
+
+func unixNano(t time.Time) uint64 {
+	if t.IsZero() {
+		return 0
+	}
+	return uint64(t.UnixNano())
+}
+
+func fromUnixNano(n uint64) time.Time {
+	if n == 0 {
+		return time.Time{}
+	}
+	return time.Unix(0, int64(n))
 }

@@ -2,9 +2,12 @@ package tcpeng
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
+	"time"
 
 	"newtos/internal/msg"
+	"newtos/internal/shm"
 )
 
 // swap replaces *ep with a successor incarnation built over the same shm
@@ -155,5 +158,32 @@ func TestHandoffReannouncesReadiness(t *testing.T) {
 	}
 	if bits&msg.EvReadable == 0 || bits&msg.EvWritable == 0 {
 		t.Fatalf("readiness lost across handoff: re-announced bits %#x", bits)
+	}
+}
+
+// TestPackLossRoundTrip: the loss state's byte encoding in the handoff
+// blob keeps every field, and the decoder rebuilds the byte counters.
+func TestPackLossRoundTrip(t *testing.T) {
+	at := time.Unix(1700000000, 123456789)
+	in := lossState{
+		ooo:     []oooSeg{{seq: 5000, payload: shm.RichPtr{Pool: 3, Gen: 7, Off: 2048, Len: 1460}, deliverID: 42}},
+		oooLast: 5000,
+		segs: []txSeg{
+			{start: 100, end: 1560, at: at, flags: segLost | segRetx},
+			{start: 1560, end: 3020, at: at.Add(time.Millisecond), flags: segSACKed},
+			{start: 3020, end: 3021, flags: segFIN},
+		},
+		sacked: 1460, lost: 1460, recovery: recFast, recoverPt: 3021, force: true,
+		tlpOut: true, timer: retxReo, dupAcks: 2, rackAt: at, rackEnd: 3020,
+	}
+	var out lossState
+	if err := unpackLoss(packLoss(&in), &out); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out, in) {
+		t.Fatalf("round trip:\n got %+v\nwant %+v", out, in)
+	}
+	if err := unpackLoss(packLoss(&in)[:40], &lossState{}); err == nil {
+		t.Fatal("truncated loss state accepted")
 	}
 }

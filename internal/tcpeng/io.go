@@ -70,6 +70,7 @@ func (e *Engine) handleListenSyn(l *pcb, th netpkt.TCPHeader, key fourTuple, dst
 	c.fourTuple = key
 	c.localIP = dstIP
 	c.bound = true
+	c.sackOK = th.SACKPermitted
 	if th.MSS != 0 && th.MSS < c.mss {
 		c.mss = th.MSS
 	}
@@ -83,7 +84,6 @@ func (e *Engine) handleListenSyn(l *pcb, th netpkt.TCPHeader, key fourTuple, dst
 	// accepted-but-idle connection costs no socket-buffer memory.
 	e.emitSegment(c, netpkt.TCPSyn|netpkt.TCPAck, c.iss, nil, 0, true)
 	c.sndNxt = c.iss + 1
-	c.sndMax = c.sndNxt
 	c.rto = synRTO
 	e.armTimer(c, timerRTO, e.now.Add(c.rto))
 }
@@ -92,11 +92,6 @@ func (e *Engine) handleListenSyn(l *pcb, th netpkt.TCPHeader, key fourTuple, dst
 // the payload-only views of GRO-coalesced trailing segments (nil for a
 // plain single-segment delivery); nseg is the wire segment count.
 func (e *Engine) segmentForConn(p *pcb, th netpkt.TCPHeader, seg shm.RichPtr, view []byte, extras []shm.RichPtr, nseg int, deliverID uint64) {
-	defer func() {
-		// Everything below either queued the payload range (keeping the
-		// deliver cookie) or is done with the buffer.
-	}()
-
 	if th.Flags&netpkt.TCPRst != 0 {
 		e.stats.RSTsIn++
 		e.connReset(p)
@@ -134,7 +129,7 @@ func (e *Engine) segmentForConn(p *pcb, th netpkt.TCPHeader, seg shm.RichPtr, vi
 		plen += ex.Len
 	}
 	if th.Flags&netpkt.TCPAck != 0 {
-		e.processAck(p, th, plen > 0)
+		e.processAck(p, &th, plen > 0)
 	}
 	windowOpened := p.sndWnd == 0 && th.Window > 0
 	p.sndWnd = uint32(th.Window)
@@ -156,6 +151,7 @@ func (e *Engine) segmentForConn(p *pcb, th netpkt.TCPHeader, seg shm.RichPtr, vi
 		e.releaseDeliver(deliverID)
 	}
 	e.output(p)
+	e.releaseLoss(p)
 }
 
 func (e *Engine) synSentIn(p *pcb, th netpkt.TCPHeader) {
@@ -166,6 +162,7 @@ func (e *Engine) synSentIn(p *pcb, th netpkt.TCPHeader) {
 	p.rcvNxt = th.Seq + 1
 	p.sndUna = th.Ack
 	p.sndWnd = uint32(th.Window)
+	p.sackOK = th.SACKPermitted
 	if th.MSS != 0 && th.MSS < p.mss {
 		p.mss = th.MSS
 	}
@@ -212,52 +209,65 @@ func (e *Engine) established(p *pcb) {
 }
 
 // processAck advances the send window, frees acknowledged stream chunks,
-// samples RTT, and drives congestion control (Reno).
-func (e *Engine) processAck(p *pcb, th netpkt.TCPHeader, hasPayload bool) {
+// feeds the scoreboard (cumulative ACK and SACK blocks), samples RTT, and
+// drives congestion control: slow start and byte-counted congestion
+// avoidance outside recovery, cwnd held at ssthresh through a fast-recovery
+// episode.
+func (e *Engine) processAck(p *pcb, th *netpkt.TCPHeader, hasPayload bool) {
 	ack := th.Ack
-	if netpkt.SeqLT(p.sndMax, ack) {
-		// Acks something we never sent: ignore. The bound is sndMax, not
-		// sndNxt: after a Go-back-N rewind a cumulative ACK for data from
-		// the pre-rewind flight is still valid — judging it against the
-		// rewound sndNxt would discard it and livelock the connection
-		// (the peer keeps dup-acking our retransmissions as duplicates,
-		// we keep ignoring its ACK as "never sent").
-		return
+	if netpkt.SeqLT(p.sndNxt, ack) {
+		return // acks something never sent
 	}
+	ls := p.loss
 	if netpkt.SeqLEQ(ack, p.sndUna) {
+		if ack != p.sndUna || ls == nil || len(ls.segs) == 0 {
+			return
+		}
 		// A duplicate ACK in the RFC 5681 sense: no payload, no window
 		// change, data outstanding. Window updates and data segments that
-		// repeat the ack number are NOT loss signals.
-		if ack == p.sndUna && p.sndNxt != p.sndUna && !hasPayload &&
-			uint32(th.Window) == p.sndWnd {
-			p.dupAcks++
+		// repeat the ack number are NOT loss signals — but their SACK
+		// blocks are.
+		dup := !hasPayload && uint32(th.Window) == p.sndWnd
+		if dup {
 			e.stats.DupAcksIn++
-			if p.dupAcks == 3 {
-				e.fastRetransmit(p)
+		}
+		if p.sackOK {
+			if e.applySACK(p, th) {
+				e.detectLoss(p)
+				e.armReo(p)
 			}
+		} else if dup {
+			e.newRenoDup(p)
 		}
 		return
 	}
 	// New data acknowledged.
 	acked := ack - p.sndUna
 	p.sndUna = ack
-	if netpkt.SeqLT(p.sndNxt, ack) {
-		// Rewound below the cumulative ACK: everything up to ack already
-		// reached the receiver, resume transmission from there.
-		p.sndNxt = ack
+	if ls != nil {
+		if last, ok := ls.ackTo(ack); ok && last.flags&segRetx == 0 {
+			e.rttSample(p, e.now.Sub(last.at)) // Karn: never retransmitted
+		}
+		e.applySACK(p, th)
+		ls.dupAcks = 0
+		ls.tlpOut = false
+		if ls.recovery != recNone && netpkt.SeqLEQ(ls.recoverPt, ack) {
+			if ls.recovery == recFast {
+				p.cwnd = p.ssthresh
+			}
+			ls.recovery = recNone
+		} else if ls.recovery == recFast && !p.sackOK {
+			ls.markHeadLost(uint32(p.mss)) // NewReno partial ACK: next hole
+		}
+		e.detectLoss(p)
 	}
-	p.dupAcks = 0
-
-	// RTT sample (Karn's rule: only for never-retransmitted segments).
-	if p.rttSeq != 0 && netpkt.SeqLT(p.rttSeq, ack) {
-		e.rttSample(p, e.now.Sub(p.rttStart))
-		p.rttSeq = 0
-	}
-	// Congestion control.
-	if p.cwnd < p.ssthresh {
-		p.cwnd += min32(acked, uint32(p.mss)) // slow start
-	} else {
-		p.cwnd += max32(uint32(p.mss)*uint32(p.mss)/p.cwnd, 1) // AIMD
+	// Congestion control (byte-counted, RFC 3465).
+	if ls == nil || ls.recovery != recFast {
+		if p.cwnd < p.ssthresh {
+			p.cwnd += min32(acked, uint32(p.mss)) // slow start
+		} else {
+			p.cwnd += max32(uint32(p.mss)*min32(acked, p.cwnd)/p.cwnd, 1) // AIMD
+		}
 	}
 
 	e.recycleAcked(p)
@@ -269,7 +279,7 @@ func (e *Engine) processAck(p *pcb, th netpkt.TCPHeader, hasPayload bool) {
 	} else {
 		// Push the deadline out; the existing wheel entry (if earlier) is
 		// reused and re-indexes itself when it comes up.
-		e.armTimer(p, timerRTO, e.now.Add(p.rto))
+		e.rearmRetx(p)
 	}
 
 	// Half-close progress.
@@ -283,6 +293,33 @@ func (e *Engine) processAck(p *pcb, th netpkt.TCPHeader, hasPayload bool) {
 			e.destroy(p)
 			e.persist()
 		}
+	}
+}
+
+// armReo moves the retransmission timer up to a RACK reordering deadline
+// found on a duplicate ACK. A later RTO is not pushed out by duplicates.
+func (e *Engine) armReo(p *pcb) {
+	ls := p.loss
+	if ls.reoAt.IsZero() || (!p.rtoAt.IsZero() && !ls.reoAt.Before(p.rtoAt)) {
+		return
+	}
+	ls.timer = retxReo
+	e.armTimer(p, timerRTO, ls.reoAt)
+}
+
+// newRenoDup counts a duplicate ACK from a peer without SACK: the third
+// starts recovery with the head segment's retransmission, later ones
+// inflate cwnd by the segment each signals has left the network.
+func (e *Engine) newRenoDup(p *pcb) {
+	ls := p.loss
+	ls.dupAcks++
+	switch {
+	case ls.recovery == recFast:
+		p.cwnd += uint32(p.mss)
+	case ls.dupAcks == dupThresh && ls.recovery == recNone:
+		e.enterRecovery(p)
+		p.cwnd += dupThresh * uint32(p.mss)
+		ls.markHeadLost(uint32(p.mss))
 	}
 }
 
@@ -307,14 +344,24 @@ func (e *Engine) rttSample(p *pcb, rtt time.Duration) {
 	}
 }
 
-// processData queues in-order payload; out-of-order segments are dropped
-// with an immediate duplicate ACK (the retransmission recovers them — a
-// deliberate lwIP-class simplification documented in DESIGN.md).
+// paySpan is one payload view of a delivery.
+type paySpan struct {
+	ptr  shm.RichPtr
+	base uint32 // payload start within ptr
+	n    uint32 // payload bytes in this view
+}
+
+// processData takes the part of a delivery that lies inside the receive
+// window. In-order data is queued for the application (and pulls any
+// out-of-order data it reaches along); data beyond a hole goes to the
+// out-of-order queue and is answered at once with an ACK carrying SACK
+// blocks (or, for a peer without SACK, one duplicate ACK per wire segment,
+// so GRO merging cannot starve it of loss signals).
 // The payload may span several views (a GRO-merged run: the lead segment's
 // payload plus one payload-only view per coalesced trailing segment, all
-// contiguous in sequence space); one rxItem is queued per view part that
-// lands in the window, each holding a reference on the deliver cookie.
-// Returns true when the deliver buffer was retained in the receive queue.
+// contiguous in sequence space); one queue entry is made per view part
+// kept, each holding a reference on the deliver cookie.
+// Returns true when the deliver buffer was retained.
 func (e *Engine) processData(p *pcb, th netpkt.TCPHeader, seg shm.RichPtr, extras []shm.RichPtr, nseg int, plen uint32, deliverID uint64) bool {
 	switch p.state {
 	case StateEstablished, StateFinWait1, StateFinWait2:
@@ -333,38 +380,31 @@ func (e *Engine) processData(p *pcb, th netpkt.TCPHeader, seg shm.RichPtr, extra
 		}
 		start = dup
 		seq = p.rcvNxt
-	} else if seq != p.rcvNxt {
-		// Out of order: dup-ack, drop.
-		e.stats.DropsOOO++
-		e.sendAck(p)
-		return false
 	}
-	if e.rcvWnd(p) == 0 {
+	wnd := e.rcvWnd(p)
+	gap := seq - p.rcvNxt
+	if gap >= wnd {
 		e.stats.DropsWindow++
 		e.sendAck(p)
 		return false
 	}
 	take := plen - start
-	if take > e.rcvWnd(p) {
+	if take > wnd-gap {
 		e.stats.DropsWindow++
-		take = e.rcvWnd(p)
+		take = wnd - gap
 	}
 
 	// Walk the payload views, skipping the trimmed head and stopping at the
 	// window clamp. The lead view's payload begins at the TCP data offset;
 	// the extras are payload-only.
-	type paySpan struct {
-		ptr  shm.RichPtr
-		base uint32 // payload start within ptr
-		n    uint32 // payload bytes in this view
-	}
-	spans := make([]paySpan, 0, 1+len(extras))
-	spans = append(spans, paySpan{ptr: seg, base: uint32(th.DataOff), n: seg.Len - uint32(th.DataOff)})
+	var spanBuf [msg.MaxPtrs]paySpan
+	spans := append(spanBuf[:0], paySpan{ptr: seg, base: uint32(th.DataOff), n: seg.Len - uint32(th.DataOff)})
 	for _, ex := range extras {
 		spans = append(spans, paySpan{ptr: ex, n: ex.Len})
 	}
 	wasEmpty := p.rcvQueued == 0
-	skip, left, used := start, take, false
+	filling := p.loss != nil && len(p.loss.ooo) > 0
+	skip, left, at, used := start, take, seq, false
 	for _, sp := range spans {
 		if left == 0 {
 			break
@@ -373,32 +413,47 @@ func (e *Engine) processData(p *pcb, th netpkt.TCPHeader, seg shm.RichPtr, extra
 			skip -= sp.n
 			continue
 		}
-		n := sp.n - skip
-		if n > left {
-			n = left
+		n := min32(sp.n-skip, left)
+		part := sp.ptr.Slice(sp.base+skip, sp.base+skip+n)
+		if gap > 0 {
+			used = e.oooInsert(p, at, part, deliverID) || used
+		} else {
+			p.rcvQ = append(p.rcvQ, rxItem{payload: part, deliverID: deliverID})
+			e.retainDeliver(deliverID)
+			used = true
 		}
-		p.rcvQ = append(p.rcvQ, rxItem{
-			payload:   sp.ptr.Slice(sp.base+skip, sp.base+skip+n),
-			deliverID: deliverID,
-		})
-		e.retainDeliver(deliverID)
 		skip = 0
 		left -= n
-		used = true
+		at += n
+	}
+	if gap > 0 {
+		e.stats.OOOQueued += uint64(nseg)
+		acks := 1
+		if !p.sackOK {
+			acks = nseg
+		}
+		for i := 0; i < acks; i++ {
+			e.sendAck(p)
+		}
+		return used
 	}
 	p.rcvQueued += take
 	p.rcvNxt = seq + take
 	e.stats.BytesIn += uint64(take)
+	if filling {
+		e.drainOOO(p)
+	}
 	if wasEmpty && p.pendingRecv == 0 {
 		e.event(p, msg.EvReadable)
 	}
 
-	// ACK policy: every second segment — or a PSH boundary (the end of a
-	// sender burst) — immediately; otherwise delayed. A merged delivery
-	// counts as its wire segment count so ack clocking is unchanged by GRO.
-	// Acking on PSH keeps TSO bursts from stalling on the delayed-ACK timer.
+	// ACK policy: at once when the segment fills a gap; otherwise every
+	// second segment — or a PSH boundary (the end of a sender burst) —
+	// immediately, else delayed. A merged delivery counts as its wire
+	// segment count so ack clocking is unchanged by GRO. Acking on PSH
+	// keeps TSO bursts from stalling on the delayed-ACK timer.
 	p.ackPending += nseg
-	if p.ackPending >= 2 || th.Flags&netpkt.TCPPsh != 0 {
+	if filling || p.ackPending >= 2 || th.Flags&netpkt.TCPPsh != 0 {
 		e.sendAck(p)
 	} else if p.delAckAt.IsZero() {
 		e.armTimer(p, timerDelAck, e.now.Add(delAckDelay))
@@ -419,6 +474,7 @@ func (e *Engine) processFin(p *pcb) {
 	}
 	p.finRcvd = true
 	p.rcvNxt++
+	e.dropOOO(p) // nothing follows a FIN: data queued beyond it is bogus
 	e.sendAck(p)
 	switch p.state {
 	case StateEstablished:

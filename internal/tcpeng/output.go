@@ -25,41 +25,48 @@ func max32(a, b uint32) uint32 {
 	return b
 }
 
-// output transmits whatever the window currently allows: queued stream
-// data (as TSO bursts or MSS-sized segments) and a queued FIN.
+// output transmits whatever the windows currently allow: lost data first
+// (lowest sequence first), then queued stream data (as TSO bursts or
+// segment-sized frames), then a queued FIN. New data is bounded by cwnd
+// against the pipe estimate and by the peer's window from sndUna.
 func (e *Engine) output(p *pcb) {
 	switch p.state {
 	case StateEstablished, StateCloseWait, StateFinWait1, StateClosing, StateLastAck:
 	default:
 		return
 	}
+	if p.loss != nil && p.loss.lost > 0 {
+		e.retransmitLost(p)
+	}
 	dataEnd := p.streamEnd
 	if p.finQueued {
 		dataEnd = p.finSeq
 	}
 	for netpkt.SeqLT(p.sndNxt, dataEnd) {
-		inflight := p.sndNxt - p.sndUna
-		wnd := min32(p.cwnd, p.sndWnd)
-		if inflight >= wnd {
+		wndEnd := p.sndUna + p.sndWnd
+		pipe := p.pipe()
+		if pipe >= p.cwnd || !netpkt.SeqLT(p.sndNxt, wndEnd) {
 			// Window closed. With data waiting and nothing in flight, arm
 			// the timer so rtoFire sends a zero-window probe (there is no
 			// separate persist timer; the RTO doubles as it).
-			if p.sndWnd == 0 && inflight == 0 && p.rtoAt.IsZero() {
-				e.armTimer(p, timerRTO, e.now.Add(p.rto))
+			if p.sndWnd == 0 && p.sndNxt == p.sndUna && p.rtoAt.IsZero() {
+				e.armRTO(p, e.now.Add(p.rto))
 			}
 			break
 		}
-		budget := wnd - inflight
 		avail := dataEnd - p.sndNxt
-		burst := min32(avail, budget)
-		maxSeg := uint32(p.mss)
+		burst := min32(avail, min32(p.cwnd-pipe, wndEnd-p.sndNxt))
+		seg := e.segPayload(p)
+		if burst < seg && burst < avail && p.sndNxt != p.sndUna {
+			// Sender-side silly-window avoidance: wait for room for a
+			// full segment while ACKs are still due.
+			break
+		}
+		maxSeg := seg
 		if e.cfg.TSO {
 			maxSeg = TSOMaxBurst
 		}
 		burst = min32(burst, maxSeg)
-		if burst == 0 {
-			break
-		}
 		ptrs, got := e.gather(p, p.sndNxt, burst)
 		if got == 0 {
 			break
@@ -68,32 +75,26 @@ func (e *Engine) output(p *pcb) {
 		// immediately, so window tails never stall on the delayed-ACK
 		// timer (classic throughput bug for window-limited transfers).
 		flags := netpkt.TCPAck | netpkt.TCPPsh
-		seg := uint16(0)
-		if e.cfg.TSO && got > uint32(p.mss) {
-			seg = p.mss
+		segSize := uint16(0)
+		if e.cfg.TSO && got > seg {
+			segSize = uint16(seg)
 		}
-		e.emitData(p, flags, p.sndNxt, ptrs, got, seg)
-		if p.rttSeq == 0 && p.retxCount == 0 {
-			p.rttSeq = p.sndNxt
-			p.rttStart = e.now
-		}
+		e.emitData(p, flags, p.sndNxt, ptrs, got, segSize)
+		ls := e.lossFor(p)
+		ls.segs = append(ls.segs, txSeg{start: p.sndNxt, end: p.sndNxt + got, at: e.now})
 		p.sndNxt += got
-		if netpkt.SeqLT(p.sndMax, p.sndNxt) {
-			p.sndMax = p.sndNxt
-		}
 		e.stats.BytesOut += uint64(got)
 	}
 	// FIN.
 	if p.finQueued && !p.finSent && p.sndNxt == p.finSeq {
 		e.emitSegment(p, netpkt.TCPFin|netpkt.TCPAck, p.finSeq, nil, 0, false)
+		ls := e.lossFor(p)
+		ls.segs = append(ls.segs, txSeg{start: p.finSeq, end: p.finSeq + 1, at: e.now, flags: segFIN})
 		p.sndNxt = p.finSeq + 1
-		if netpkt.SeqLT(p.sndMax, p.sndNxt) {
-			p.sndMax = p.sndNxt
-		}
 		p.finSent = true
 	}
 	if p.sndNxt != p.sndUna && p.rtoAt.IsZero() {
-		e.armTimer(p, timerRTO, e.now.Add(p.rto))
+		e.rearmRetx(p)
 	}
 }
 
@@ -128,12 +129,15 @@ func (e *Engine) emitData(p *pcb, flags uint8, seq uint32, payload []shm.RichPtr
 }
 
 // emitSegment sends a control segment (SYN, SYN|ACK, FIN, pure ACK).
-// withMSS adds the MSS option (SYN family).
-func (e *Engine) emitSegment(p *pcb, flags uint8, seq uint32, payload []shm.RichPtr, plen uint32, withMSS bool) {
-	e.emit(p, flags, seq, payload, plen, 0, withMSS)
+// synOpts adds the SYN family's options: MSS, and SACK-permitted on a SYN
+// or on a SYN|ACK answering a SYN that offered it.
+func (e *Engine) emitSegment(p *pcb, flags uint8, seq uint32, payload []shm.RichPtr, plen uint32, synOpts bool) {
+	e.emit(p, flags, seq, payload, plen, 0, synOpts)
 }
 
-func (e *Engine) emit(p *pcb, flags uint8, seq uint32, payload []shm.RichPtr, plen uint32, segSize uint16, withMSS bool) {
+// emit sends one segment. Every ACK-bearing segment of a SACK connection
+// carries SACK blocks while the out-of-order queue holds data.
+func (e *Engine) emit(p *pcb, flags uint8, seq uint32, payload []shm.RichPtr, plen uint32, segSize uint16, synOpts bool) {
 	hdrPtr, hdrBuf, err := e.hdrPool.Alloc()
 	if err != nil {
 		return // out of header chunks: the RTO will retry
@@ -145,9 +149,13 @@ func (e *Engine) emit(p *pcb, flags uint8, seq uint32, payload []shm.RichPtr, pl
 	}
 	if flags&netpkt.TCPAck != 0 {
 		th.Ack = p.rcvNxt
+		if p.hasSACK() {
+			p.loss.sackInto(&th)
+		}
 	}
-	if withMSS {
+	if synOpts {
 		th.MSS = MSS
+		th.SACKPermitted = flags&netpkt.TCPAck == 0 || p.sackOK
 	}
 	hlen := th.MarshalLen()
 	th.Marshal(hdrBuf)
@@ -168,7 +176,7 @@ func (e *Engine) emit(p *pcb, flags uint8, seq uint32, payload []shm.RichPtr, pl
 	}
 
 	id := e.db.NewID()
-	if plen > 0 && netpkt.SeqLT(seq, p.sndMax) {
+	if plen > 0 && netpkt.SeqLT(seq, p.sndNxt) {
 		// This frame re-covers bytes already transmitted once. A cumulative
 		// ACK for them — elicited by the earlier copy — can arrive while the
 		// NIC is still reading this one; recycling their ring space then
@@ -179,7 +187,7 @@ func (e *Engine) emit(p *pcb, flags uint8, seq uint32, payload []shm.RichPtr, pl
 	}
 	e.db.Track(id, "ip", hdr, func(aborted uint64, data any) {
 		// Abort action on IP crash: release the header chunk; the data
-		// itself is resubmitted by OnIPRestart through go-back-N.
+		// itself is marked lost and resent by ResubmitInflight.
 		if ptr, ok := data.(shm.RichPtr); ok {
 			_ = e.hdrPool.Free(ptr)
 		}
@@ -265,23 +273,6 @@ func (e *Engine) sendRstFor(th netpkt.TCPHeader, srcIP, localIP netpkt.IPAddr) {
 	e.stats.SegsOut++
 }
 
-// fastRetransmit reacts to the third duplicate ACK (Reno).
-func (e *Engine) fastRetransmit(p *pcb) {
-	inflight := p.sndNxt - p.sndUna
-	p.ssthresh = max32(inflight/2, 2*uint32(p.mss))
-	p.cwnd = p.ssthresh + 3*uint32(p.mss)
-	p.recover = p.sndNxt
-	e.stats.FastRetx++
-	e.stats.Retransmits++
-	// Resend one segment at sndUna.
-	ptrs, got := e.gather(p, p.sndUna, uint32(p.mss))
-	if got > 0 {
-		flags := netpkt.TCPAck
-		e.emitData(p, flags, p.sndUna, ptrs, got, 0)
-	}
-	p.rttSeq = 0 // Karn
-}
-
 // Tick drives every per-connection timer through the timing wheel:
 // retransmission, delayed ACK, TIME-WAIT reaping, and handshake retries.
 // Cost scales with due timers and live TX buffers, not total connections —
@@ -329,23 +320,24 @@ func (e *Engine) fireTimer(p *pcb, kind int) {
 			e.dead = append(e.dead, p)
 		}
 	case timerRTO:
-		e.rtoFire(p)
+		e.retxTimerFire(p)
 	}
 }
 
+// rtoFire handles a retransmission timeout: handshake retries, the
+// zero-window probe, and for data the RFC 6675 timeout response — every
+// outstanding byte is marked lost in a reset scoreboard and resent from the
+// bottom under a collapsed cwnd. sndNxt stays where it is.
 func (e *Engine) rtoFire(p *pcb) {
 	// The give-up threshold counts CONSECUTIVE no-progress RTO fires. A
 	// long-lived bulk stream whose pipe never fully drains must not
-	// accumulate isolated RTO episodes into a spurious local reset — but
-	// retxCount itself stays nonzero through recovery, because it also
-	// gates Karn's rule (output): resetting it on every advancing ACK
-	// would sample RTT off retransmitted data and melt the RTO estimate.
+	// accumulate isolated RTO episodes into a spurious local reset.
 	if p.sndUna != p.retxMark {
 		p.retxCount = 0
 		p.retxMark = p.sndUna
 	}
 	p.retxCount++
-	e.stats.Retransmits++
+	e.stats.RTOFires++
 	switch p.state {
 	case StateSynSent, StateSynRcvd:
 		if p.retxCount > 6 {
@@ -369,6 +361,7 @@ func (e *Engine) rtoFire(p *pcb) {
 		if p.state == StateSynRcvd {
 			flags |= netpkt.TCPAck
 		}
+		e.stats.Retransmits++
 		e.emitSegment(p, flags, p.iss, nil, 0, true)
 	default:
 		if p.retxCount > 10 {
@@ -378,6 +371,7 @@ func (e *Engine) rtoFire(p *pcb) {
 		if p.sndWnd == 0 {
 			// Zero-window probe: one byte past the window keeps the
 			// connection alive until the peer's window update arrives.
+			e.stats.Retransmits++
 			ptrs, got := e.gather(p, p.sndUna, 1)
 			if got > 0 {
 				e.emitData(p, netpkt.TCPAck, p.sndUna, ptrs, got, 0)
@@ -386,41 +380,53 @@ func (e *Engine) rtoFire(p *pcb) {
 			}
 			break
 		}
-		// Go-back-N from the last acknowledged byte; Reno loss response.
-		inflight := p.sndNxt - p.sndUna
-		p.ssthresh = max32(inflight/2, 2*uint32(p.mss))
+		ls := p.loss
+		if ls == nil || len(ls.segs) == 0 {
+			// Nothing outstanding: a stale deadline. Send what the window
+			// allows; output re-arms if it transmits.
+			e.output(p)
+			return
+		}
+		p.ssthresh = max32((p.sndNxt-p.sndUna)/2, 2*uint32(p.mss))
 		p.cwnd = 2 * uint32(p.mss)
-		p.sndNxt = p.sndUna
-		if p.finSent && netpkt.SeqLEQ(p.finSeq, p.sndUna) {
-			// FIN was the unacked byte; re-arm for it.
-			p.finSent = false
-		}
-		if p.finSent {
-			p.finSent = false
-		}
-		p.rttSeq = 0 // Karn
+		ls.markAllLost(true)
+		ls.recovery = recRTO
+		ls.recoverPt = p.sndNxt
+		ls.tlpOut = false
 		e.output(p)
 	}
 	p.rto *= 2
 	if p.rto > maxRTO {
 		p.rto = maxRTO
 	}
-	e.armTimer(p, timerRTO, e.now.Add(p.rto))
+	e.armRTO(p, e.now.Add(p.rto))
 }
 
-// ResubmitInflight implements the post-IP-crash policy: rewind sndNxt to
-// sndUna on every connection with unacknowledged data and retransmit
-// immediately with fresh request IDs.
+// ResubmitInflight implements the post-IP-crash policy: the frames in
+// flight died with IP, so every connection's unSACKed outstanding data is
+// marked lost and resent at once with fresh request IDs (handshakes
+// re-send their SYN). Congestion state is untouched: a crash is not
+// congestion.
 func (e *Engine) ResubmitInflight() {
 	e.eachPCB(func(p *pcb) {
 		if p.sndNxt == p.sndUna {
 			return
 		}
-		p.sndNxt = p.sndUna
-		p.finSent = false
-		p.rttSeq = 0
+		switch p.state {
+		case StateSynSent, StateSynRcvd:
+			flags := uint8(netpkt.TCPSyn)
+			if p.state == StateSynRcvd {
+				flags |= netpkt.TCPAck
+			}
+			e.emitSegment(p, flags, p.iss, nil, 0, true)
+		default:
+			if p.loss == nil {
+				return
+			}
+			p.loss.markAllLost(false)
+			e.output(p)
+		}
 		e.stats.SendsResubmitted++
-		e.output(p)
 	})
 }
 

@@ -1,10 +1,12 @@
 // Package tcpeng is the TCP protocol engine: a from-scratch, lwIP-class
 // TCP with the features the paper's evaluation depends on — three-way
 // handshake, sliding-window transfer with flow control, RFC 6298
-// retransmission timing with exponential backoff, fast retransmit, Reno
-// congestion control, the MSS option, zero-copy transmit out of per-socket
-// shared buffers, and TCP segmentation offload (TSO) so one channel request
-// can carry 64 KB (the decisive optimization of Table II rows 5-6).
+// retransmission timing with exponential backoff, SACK-based loss recovery
+// (an out-of-order queue, an RFC 6675 scoreboard, RACK-TLP; NewReno for
+// peers without SACK, see recovery.go), Reno congestion control, the MSS
+// option, zero-copy transmit out of per-socket shared buffers, and TCP
+// segmentation offload (TSO) so one channel request can carry 64 KB (the
+// decisive optimization of Table II rows 5-6).
 //
 // Recovery semantics follow paper Table I: the engine persists only the
 // cheap, rarely-changing part of its state (listening sockets and the
@@ -160,13 +162,21 @@ type Config struct {
 
 // Stats counts engine activity.
 type Stats struct {
-	SegsOut, SegsIn                 uint64
-	BytesOut, BytesIn               uint64
-	Retransmits, FastRetx           uint64
-	RSTsSent, RSTsIn                uint64
-	DupAcksIn                       uint64
-	ConnsOpened, ConnsAccepted      uint64
-	SendsResubmitted                uint64
+	SegsOut, SegsIn   uint64
+	BytesOut, BytesIn uint64
+	// Retransmits counts retransmitted frames of every kind; FastRetx
+	// counts fast-recovery episodes, RTOFires retransmission timeouts and
+	// TLPProbes tail-loss probes.
+	Retransmits, FastRetx      uint64
+	RTOFires, TLPProbes        uint64
+	RSTsSent, RSTsIn           uint64
+	DupAcksIn                  uint64
+	ConnsOpened, ConnsAccepted uint64
+	SendsResubmitted           uint64
+	// OOOQueued counts wire segments kept in the out-of-order queue;
+	// DropsOOO counts out-of-order data discarded because the queue was
+	// full.
+	OOOQueued                       uint64
 	DropsOOO, DropsDup, DropsWindow uint64
 }
 
@@ -200,9 +210,9 @@ type pcb struct {
 	bound     bool
 	portEphem bool // localPort came from autobind (refcounted, not exclusive)
 
-	// Send state.
+	// Send state. sndNxt only moves forward: retransmissions are driven by
+	// the scoreboard in loss, never by rewinding it.
 	iss, sndUna, sndNxt uint32
-	sndMax              uint32 // highest sndNxt ever reached (survives Go-back-N rewinds)
 	sndWnd              uint32 // peer's advertised window
 	cwnd, ssthresh      uint32
 	mss                 uint16
@@ -212,17 +222,22 @@ type pcb struct {
 	finSeq              uint32
 	finSent             bool
 
-	// RTT estimation (Karn: only segments never retransmitted).
+	// RTT estimation (Karn: samples come only from scoreboard entries
+	// never retransmitted). rtoAt is the shared retransmission timer: RTO,
+	// tail-loss probe or RACK reordering deadline (loss.timer says which).
 	srtt, rttvar time.Duration
 	rto          time.Duration
 	rtoAt        time.Time
-	rttSeq       uint32 // sequence being timed; 0 = none
-	rttStart     time.Time
 	retxCount    int
 	retxMark     uint32 // sndUna at the last RTO fire; progress resets retxCount
 	retxPending  int32  // frames re-covering already-sent bytes still at the NIC
-	dupAcks      int
-	recover      uint32 // fast-recovery high-water mark
+
+	// sackOK: both ends offered SACK-permitted in the handshake.
+	sackOK bool
+	// loss holds the scoreboard, out-of-order queue and RACK state while
+	// the connection has data outstanding or queued out of order
+	// (recovery.go); nil otherwise.
+	loss *lossState
 
 	// Timing-wheel bookkeeping (wheel.go): per-kind generation counters
 	// (bumped on disarm/re-arm/slot-reuse to invalidate stale entries) and
@@ -297,6 +312,9 @@ type Engine struct {
 
 	toIP    []msg.Req
 	toFront []msg.Req
+
+	// lossFree recycles loss states between busy periods (recovery.go).
+	lossFree []*lossState
 
 	stats Stats
 	now   time.Time // updated at every entry point
@@ -729,7 +747,6 @@ func (e *Engine) connect(r msg.Req) {
 	}
 	e.emitSegment(p, netpkt.TCPSyn, p.iss, nil, 0, true)
 	p.sndNxt = p.iss + 1
-	p.sndMax = p.sndNxt
 	p.rto = synRTO
 	e.armTimer(p, timerRTO, e.now.Add(p.rto))
 	e.stats.ConnsOpened++
@@ -984,6 +1001,7 @@ func (e *Engine) parkFailed(p *pcb, status int32) {
 		e.releaseDeliver(item.deliverID)
 	}
 	p.rcvQ, p.rcvQueued = nil, 0
+	e.dropLoss(p)
 	e.dropTuple(p)
 	e.disarmAll(p)
 	p.retxCount = 0
@@ -1018,6 +1036,7 @@ func (e *Engine) destroy(p *pcb) {
 		e.releaseDeliver(item.deliverID)
 	}
 	p.rcvQ = nil
+	e.dropLoss(p)
 	if p.bound && p.state != StateListen {
 		if p.portEphem {
 			e.ports.ephemRelease(p.localPort)
@@ -1208,6 +1227,12 @@ func (e *Engine) OnIPRestart() {
 		// peer's retransmissions cover the rest.
 		for i := range p.rcvQ {
 			p.rcvQ[i].deliverID = 0 // old IP is gone; nothing to release to
+		}
+		// Out-of-order data was only SACKed, never ACKed: drop it with
+		// the pool. The sender's timeout resets its scoreboard and resends.
+		if ls := p.loss; ls != nil {
+			ls.ooo = ls.ooo[:0]
+			e.releaseLoss(p)
 		}
 	})
 	e.deliverRefs = make(map[uint64]int) // the cookies died with the pool

@@ -15,7 +15,9 @@ import (
 // pipe is a minimal stand-in for the IP layer: it moves OpIPSend requests
 // from one engine to the other as OpIPDeliver, copying segments into a
 // simulated receive pool (as a NIC's DMA would), splitting TSO bursts, and
-// optionally dropping segments to exercise retransmission.
+// optionally dropping segments to exercise retransmission, rearranging
+// each step's segments (fault), and merging in-order runs into one
+// delivery the way ipeng's GRO does (gro).
 type pipe struct {
 	t     *testing.T
 	space *shm.Space
@@ -25,10 +27,13 @@ type pipe struct {
 
 	rxPool    *shm.Pool
 	deliverID uint64
-	inFlight  map[uint64]shm.RichPtr // deliverID -> rx chunk
+	inFlight  map[uint64][]shm.RichPtr // deliverID -> rx chunks
+	badDone   int                      // DeliverDone for an unknown cookie
 
-	drop func(dir string, n int) bool // decide per segment; nil = no loss
-	sent int
+	drop  func(dir string, n int) bool // decide per segment; nil = no loss
+	fault func(dir string, segs [][]byte) [][]byte
+	gro   bool
+	sent  int
 
 	aFront, bFront []msg.Req
 	now            time.Time
@@ -44,7 +49,7 @@ func newPipe(t *testing.T, tso bool) *pipe {
 	pi := &pipe{
 		t: t, space: space, rxPool: rxPool,
 		aIP: netpkt.MustIP("10.0.0.1"), bIP: netpkt.MustIP("10.0.0.2"),
-		inFlight: make(map[uint64]shm.RichPtr),
+		inFlight: make(map[uint64][]shm.RichPtr),
 		now:      time.Now(),
 	}
 	mkEngine := func(ip netpkt.IPAddr, name string) *Engine {
@@ -71,6 +76,7 @@ func (pi *pipe) step() bool {
 
 func (pi *pipe) moveDir(src, dst *Engine, srcIP, dstIP netpkt.IPAddr, dir string) bool {
 	reqs := src.DrainToIP()
+	var wire [][]byte
 	for _, r := range reqs {
 		switch r.Op {
 		case msg.OpIPSend:
@@ -90,31 +96,89 @@ func (pi *pipe) moveDir(src, dst *Engine, srcIP, dstIP netpkt.IPAddr, dir string
 				if pi.drop != nil && pi.drop(dir, pi.sent) {
 					continue
 				}
-				pi.deliver(dst, srcIP, seg)
+				wire = append(wire, seg)
 			}
 			src.FromIP(msg.Req{ID: r.ID, Op: msg.OpIPSendDone, Status: msg.StatusOK}, pi.now)
 		case msg.OpIPDeliverDone:
-			if ptr, ok := pi.inFlight[r.ID]; ok {
+			if ptrs, ok := pi.inFlight[r.ID]; ok {
 				delete(pi.inFlight, r.ID)
-				_ = pi.rxPool.Free(ptr)
+				for _, ptr := range ptrs {
+					_ = pi.rxPool.Free(ptr)
+				}
+			} else {
+				pi.badDone++
 			}
 		}
+	}
+	if pi.fault != nil {
+		wire = pi.fault(dir, wire)
+	}
+	for len(wire) > 0 {
+		n := 1
+		if pi.gro {
+			n = groRun(wire)
+		}
+		pi.deliverRun(dst, srcIP, wire[:n])
+		wire = wire[n:]
 	}
 	return len(reqs) > 0
 }
 
-func (pi *pipe) deliver(dst *Engine, srcIP netpkt.IPAddr, seg []byte) {
-	ptr, buf, err := pi.rxPool.Alloc()
-	if err != nil {
-		pi.t.Fatalf("pipe rx pool exhausted (%d in flight)", len(pi.inFlight))
-	}
-	copy(buf, seg)
+// deliverRun copies each segment into its own receive chunk and hands the
+// run up as one delivery: a lone segment as is, a longer run GRO-style —
+// the lead segment's full view, then the payload-only views of the rest,
+// with the wire segment count in Arg[3].
+func (pi *pipe) deliverRun(dst *Engine, srcIP netpkt.IPAddr, run [][]byte) {
 	pi.deliverID++
-	pi.inFlight[pi.deliverID] = ptr
 	req := msg.Req{ID: pi.deliverID, Op: msg.OpIPDeliver}
-	req.SetChain([]shm.RichPtr{ptr.Slice(0, uint32(len(seg)))})
+	var chain, chunks []shm.RichPtr
+	for i, seg := range run {
+		ptr, buf, err := pi.rxPool.Alloc()
+		if err != nil {
+			pi.t.Fatalf("pipe rx pool exhausted (%d in flight)", len(pi.inFlight))
+		}
+		copy(buf, seg)
+		chunks = append(chunks, ptr)
+		view := ptr.Slice(0, uint32(len(seg)))
+		if i > 0 {
+			th, _ := netpkt.ParseTCP(seg)
+			view = ptr.Slice(uint32(th.DataOff), uint32(len(seg)))
+		}
+		chain = append(chain, view)
+	}
+	pi.inFlight[pi.deliverID] = chunks
+	req.SetChain(chain)
 	req.Arg[1] = uint64(srcIP.U32())
+	if len(run) > 1 {
+		req.Arg[3] = uint64(len(run))
+	}
 	dst.FromIP(req, pi.now)
+}
+
+// groRun returns how many leading segments of wire ipeng's GRO would merge
+// into one delivery: data segments with only ACK(+PSH), contiguous in
+// sequence, with identical ack, window and option bytes.
+func groRun(wire [][]byte) int {
+	lead, err := netpkt.ParseTCP(wire[0])
+	mergeable := func(th netpkt.TCPHeader, seg []byte) bool {
+		return th.Flags&^(netpkt.TCPAck|netpkt.TCPPsh) == 0 && th.Flags&netpkt.TCPAck != 0 &&
+			len(seg) > th.DataOff
+	}
+	if err != nil || !mergeable(lead, wire[0]) {
+		return 1
+	}
+	next := lead.Seq + uint32(len(wire[0])-lead.DataOff)
+	n := 1
+	for n < len(wire) && n < 16 {
+		th, err := netpkt.ParseTCP(wire[n])
+		if err != nil || !mergeable(th, wire[n]) || th.Seq != next || th.Ack != lead.Ack ||
+			th.Window != lead.Window || !bytes.Equal(wire[n][netpkt.TCPHeaderLen:th.DataOff], wire[0][netpkt.TCPHeaderLen:lead.DataOff]) {
+			break
+		}
+		next += uint32(len(wire[n]) - th.DataOff)
+		n++
+	}
+	return n
 }
 
 // tsoSplitL4 splits an L4 TCP burst into mss-sized segments (header-only
@@ -143,14 +207,10 @@ func tsoSplitL4(seg []byte, mss int) [][]byte {
 		if !last {
 			th2.Flags &^= netpkt.TCPFin | netpkt.TCPPsh
 		}
-		th2.MSS = 0
-		if th.DataOff > netpkt.TCPHeaderLen {
-			// keep existing options region as-is
-			th2.Marshal(s[:netpkt.TCPHeaderLen])
-			s[12] = byte(th.DataOff/4) << 4
-		} else {
-			th2.Marshal(s)
-		}
+		// Rewrite the base header only; the option bytes copied above stay.
+		th2.MSS, th2.SACKPermitted, th2.NSACK = 0, false, 0
+		th2.Marshal(s[:netpkt.TCPHeaderLen])
+		s[12] = byte(th.DataOff/4) << 4
 		out = append(out, s)
 	}
 	return out
