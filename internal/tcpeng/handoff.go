@@ -20,9 +20,7 @@ package tcpeng
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"time"
 
@@ -43,6 +41,38 @@ type handoffRx struct {
 	Payload   shm.RichPtr
 	DeliverID uint64
 	Consumed  uint32
+}
+
+// handoffOOO mirrors oooSeg.
+type handoffOOO struct {
+	Seq       uint32
+	Payload   shm.RichPtr
+	DeliverID uint64
+}
+
+// handoffSeg mirrors txSeg.
+type handoffSeg struct {
+	Start, End uint32
+	At         time.Time
+	Flags      uint8
+}
+
+// handoffLoss mirrors lossState. It follows its pcb's record in the blob
+// only when the pcb holds one (handoffPCB.Loss), so a swap whose pcbs hold
+// none never pays gob's per-type cost of describing and compiling it.
+type handoffLoss struct {
+	OOO       []handoffOOO
+	OOOLast   uint32
+	Segs      []handoffSeg
+	Recovery  uint8
+	RecoverPt uint32
+	Force     bool
+	TLPOut    bool
+	Timer     uint8
+	DupAcks   int
+	RackAt    time.Time
+	RackEnd   uint32
+	ReoAt     time.Time
 }
 
 // handoffPCB mirrors every live field of a pcb. Slot, bufIdx, timerSeq and
@@ -81,7 +111,7 @@ type handoffPCB struct {
 	RetxMark    uint32
 	RetxPending int32
 	SACKOK      bool
-	Loss        []byte // packLoss; nil when the pcb holds no loss state
+	Loss        bool // a handoffLoss record follows this one
 
 	IRS        uint32
 	RcvNxt     uint32
@@ -188,6 +218,13 @@ func (e *Engine) HandoffState() ([]byte, map[uint32]*sockbuf.Buf, error) {
 		h := capturePCB(p)
 		if err := enc.Encode(&h); err != nil {
 			encErr = fmt.Errorf("tcpeng: handoff pcb %d: %w", p.id, err)
+			return
+		}
+		if p.loss != nil {
+			l := captureLoss(p.loss)
+			if err := enc.Encode(&l); err != nil {
+				encErr = fmt.Errorf("tcpeng: handoff pcb %d loss state: %w", p.id, err)
+			}
 		}
 	})
 	if encErr != nil {
@@ -255,9 +292,7 @@ func capturePCB(p *pcb) handoffPCB {
 	for _, rx := range p.rcvQ {
 		h.RcvQ = append(h.RcvQ, handoffRx{Payload: rx.payload, DeliverID: rx.deliverID, Consumed: rx.consumed})
 	}
-	if p.loss != nil {
-		h.Loss = packLoss(p.loss)
-	}
+	h.Loss = p.loss != nil
 	return h
 }
 
@@ -303,7 +338,14 @@ func (e *Engine) RestoreHandoff(blob []byte, bufs map[uint32]*sockbuf.Buf, now t
 		if err := dec.Decode(&h); err != nil {
 			return fmt.Errorf("tcpeng: handoff pcb %d/%d: %w", i, meta.NumConns, err)
 		}
-		if err := e.restorePCB(&h, bufs[h.ID]); err != nil {
+		var l *handoffLoss
+		if h.Loss {
+			l = new(handoffLoss)
+			if err := dec.Decode(l); err != nil {
+				return fmt.Errorf("tcpeng: handoff pcb %d loss state: %w", h.ID, err)
+			}
+		}
+		if err := e.restorePCB(&h, l, bufs[h.ID]); err != nil {
 			return err
 		}
 	}
@@ -313,7 +355,7 @@ func (e *Engine) RestoreHandoff(blob []byte, bufs map[uint32]*sockbuf.Buf, now t
 	return nil
 }
 
-func (e *Engine) restorePCB(h *handoffPCB, buf *sockbuf.Buf) error {
+func (e *Engine) restorePCB(h *handoffPCB, l *handoffLoss, buf *sockbuf.Buf) error {
 	if h.HasBuf && buf == nil {
 		return fmt.Errorf("tcpeng: handoff pcb %d: missing TX buffer handle", h.ID)
 	}
@@ -351,10 +393,8 @@ func (e *Engine) restorePCB(h *handoffPCB, buf *sockbuf.Buf) error {
 	p.retxMark = h.RetxMark
 	p.retxPending = h.RetxPending
 	p.sackOK = h.SACKOK
-	if h.Loss != nil {
-		if err := unpackLoss(h.Loss, e.lossFor(p)); err != nil {
-			return fmt.Errorf("tcpeng: handoff pcb %d: %w", h.ID, err)
-		}
+	if l != nil {
+		restoreLoss(l, e.lossFor(p))
 	}
 
 	p.irs = h.IRS
@@ -453,89 +493,37 @@ func (e *Engine) announceReadiness(p *pcb) {
 	}
 }
 
-// packLoss encodes a loss state for the handoff blob as plain bytes: gob
-// describes and compiles every struct type afresh on each live update, and
-// three more of them would lengthen every swap pause for state that most
-// pcbs do not even hold. Times travel as Unix nanoseconds (0 = zero time).
-func packLoss(ls *lossState) []byte {
-	be := binary.BigEndian
-	b := make([]byte, 0, 48+len(ls.ooo)*32+len(ls.segs)*17)
-	b = be.AppendUint32(b, ls.oooLast)
-	b = append(b, ls.recovery, ls.timer, boolByte(ls.force), boolByte(ls.tlpOut))
-	b = be.AppendUint32(b, ls.recoverPt)
-	b = be.AppendUint32(b, uint32(ls.dupAcks))
-	b = be.AppendUint64(b, unixNano(ls.rackAt))
-	b = be.AppendUint32(b, ls.rackEnd)
-	b = be.AppendUint64(b, unixNano(ls.reoAt))
-	b = be.AppendUint32(b, uint32(len(ls.ooo)))
+func captureLoss(ls *lossState) handoffLoss {
+	l := handoffLoss{
+		OOOLast:   ls.oooLast,
+		Recovery:  ls.recovery,
+		RecoverPt: ls.recoverPt,
+		Force:     ls.force,
+		TLPOut:    ls.tlpOut,
+		Timer:     ls.timer,
+		DupAcks:   ls.dupAcks,
+		RackAt:    ls.rackAt,
+		RackEnd:   ls.rackEnd,
+		ReoAt:     ls.reoAt,
+	}
 	for _, o := range ls.ooo {
-		b = be.AppendUint32(b, o.seq)
-		b = be.AppendUint32(b, uint32(o.payload.Pool))
-		b = be.AppendUint32(b, o.payload.Gen)
-		b = be.AppendUint32(b, o.payload.Off)
-		b = be.AppendUint32(b, o.payload.Len)
-		b = be.AppendUint64(b, o.deliverID)
+		l.OOO = append(l.OOO, handoffOOO{Seq: o.seq, Payload: o.payload, DeliverID: o.deliverID})
 	}
-	b = be.AppendUint32(b, uint32(len(ls.segs)))
 	for _, s := range ls.segs {
-		b = be.AppendUint32(b, s.start)
-		b = be.AppendUint32(b, s.end)
-		b = be.AppendUint64(b, unixNano(s.at))
-		b = append(b, s.flags)
+		l.Segs = append(l.Segs, handoffSeg{Start: s.start, End: s.end, At: s.at, Flags: s.flags})
 	}
-	return b
+	return l
 }
 
-var errLossBlob = errors.New("truncated loss state")
-
-// unpackLoss decodes packLoss's bytes into ls (fresh from lossFor) and
-// recomputes the scoreboard's byte counters.
-func unpackLoss(b []byte, ls *lossState) error {
-	be := binary.BigEndian
-	take := func(n int) []byte {
-		if len(b) < n {
-			return nil
-		}
-		v := b[:n]
-		b = b[n:]
-		return v
+// restoreLoss rebuilds a loss state from its handoff mirror, recomputing
+// the scoreboard's byte counters.
+func restoreLoss(l *handoffLoss, ls *lossState) {
+	for _, o := range l.OOO {
+		ls.ooo = append(ls.ooo, oooSeg{seq: o.Seq, payload: o.Payload, deliverID: o.DeliverID})
 	}
-	h := take(36)
-	if h == nil {
-		return errLossBlob
-	}
-	ls.oooLast = be.Uint32(h[0:])
-	ls.recovery, ls.timer, ls.force, ls.tlpOut = h[4], h[5], h[6] != 0, h[7] != 0
-	ls.recoverPt = be.Uint32(h[8:])
-	ls.dupAcks = int(be.Uint32(h[12:]))
-	ls.rackAt = fromUnixNano(be.Uint64(h[16:]))
-	ls.rackEnd = be.Uint32(h[24:])
-	ls.reoAt = fromUnixNano(be.Uint64(h[28:]))
-	n := take(4)
-	if n == nil {
-		return errLossBlob
-	}
-	for i := be.Uint32(n); i > 0; i-- {
-		v := take(28)
-		if v == nil {
-			return errLossBlob
-		}
-		ls.ooo = append(ls.ooo, oooSeg{
-			seq: be.Uint32(v[0:]),
-			payload: shm.RichPtr{Pool: shm.PoolID(be.Uint32(v[4:])), Gen: be.Uint32(v[8:]),
-				Off: be.Uint32(v[12:]), Len: be.Uint32(v[16:])},
-			deliverID: be.Uint64(v[20:]),
-		})
-	}
-	if n = take(4); n == nil {
-		return errLossBlob
-	}
-	for i := be.Uint32(n); i > 0; i-- {
-		v := take(17)
-		if v == nil {
-			return errLossBlob
-		}
-		s := txSeg{start: be.Uint32(v[0:]), end: be.Uint32(v[4:]), at: fromUnixNano(be.Uint64(v[8:])), flags: v[16]}
+	ls.oooLast = l.OOOLast
+	for _, hs := range l.Segs {
+		s := txSeg{start: hs.Start, end: hs.End, at: hs.At, flags: hs.Flags}
 		ls.segs = append(ls.segs, s)
 		if s.flags&segSACKed != 0 {
 			ls.sacked += s.len()
@@ -544,26 +532,8 @@ func unpackLoss(b []byte, ls *lossState) error {
 			ls.lost += s.len()
 		}
 	}
-	return nil
-}
-
-func boolByte(v bool) byte {
-	if v {
-		return 1
-	}
-	return 0
-}
-
-func unixNano(t time.Time) uint64 {
-	if t.IsZero() {
-		return 0
-	}
-	return uint64(t.UnixNano())
-}
-
-func fromUnixNano(n uint64) time.Time {
-	if n == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, int64(n))
+	ls.recovery, ls.recoverPt = l.Recovery, l.RecoverPt
+	ls.force, ls.tlpOut, ls.timer = l.Force, l.TLPOut, l.Timer
+	ls.dupAcks = l.DupAcks
+	ls.rackAt, ls.rackEnd, ls.reoAt = l.RackAt, l.RackEnd, l.ReoAt
 }

@@ -2,6 +2,7 @@ package tcpeng
 
 import (
 	"bytes"
+	"encoding/gob"
 	"reflect"
 	"testing"
 	"time"
@@ -161,10 +162,12 @@ func TestHandoffReannouncesReadiness(t *testing.T) {
 	}
 }
 
-// TestPackLossRoundTrip: the loss state's byte encoding in the handoff
-// blob keeps every field, and the decoder rebuilds the byte counters.
-func TestPackLossRoundTrip(t *testing.T) {
-	at := time.Unix(1700000000, 123456789)
+// TestHandoffLossRoundTrip: a pcb's loss state crosses the handoff blob
+// with every field intact, and the restore rebuilds the byte counters. The
+// input sets every lossState field, so a field added without a handoff
+// mirror fails here.
+func TestHandoffLossRoundTrip(t *testing.T) {
+	at := time.Unix(1700000000, 123456789).UTC()
 	in := lossState{
 		ooo:     []oooSeg{{seq: 5000, payload: shm.RichPtr{Pool: 3, Gen: 7, Off: 2048, Len: 1460}, deliverID: 42}},
 		oooLast: 5000,
@@ -175,15 +178,31 @@ func TestPackLossRoundTrip(t *testing.T) {
 		},
 		sacked: 1460, lost: 1460, recovery: recFast, recoverPt: 3021, force: true,
 		tlpOut: true, timer: retxReo, dupAcks: 2, rackAt: at, rackEnd: 3020,
+		reoAt: at.Add(2 * time.Millisecond),
 	}
-	var out lossState
-	if err := unpackLoss(packLoss(&in), &out); err != nil {
+	v := reflect.ValueOf(in)
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Fatalf("test input leaves lossState.%s zero", v.Type().Field(i).Name)
+		}
+	}
+	if h := capturePCB(&pcb{loss: &in}); !h.Loss {
+		t.Fatal("loss state not marked present")
+	}
+	if h := capturePCB(&pcb{}); h.Loss {
+		t.Fatal("pcb without loss state marked as holding one")
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(captureLoss(&in)); err != nil {
 		t.Fatal(err)
 	}
+	var l handoffLoss
+	if err := gob.NewDecoder(&buf).Decode(&l); err != nil {
+		t.Fatal(err)
+	}
+	var out lossState
+	restoreLoss(&l, &out)
 	if !reflect.DeepEqual(out, in) {
 		t.Fatalf("round trip:\n got %+v\nwant %+v", out, in)
-	}
-	if err := unpackLoss(packLoss(&in)[:40], &lossState{}); err == nil {
-		t.Fatal("truncated loss state accepted")
 	}
 }

@@ -210,9 +210,8 @@ func (e *Engine) established(p *pcb) {
 
 // processAck advances the send window, frees acknowledged stream chunks,
 // feeds the scoreboard (cumulative ACK and SACK blocks), samples RTT, and
-// drives congestion control: slow start and byte-counted congestion
-// avoidance outside recovery, cwnd held at ssthresh through a fast-recovery
-// episode.
+// drives congestion control: Reno slow start and congestion avoidance
+// outside recovery, cwnd held at ssthresh through a fast-recovery episode.
 func (e *Engine) processAck(p *pcb, th *netpkt.TCPHeader, hasPayload bool) {
 	ack := th.Ack
 	if netpkt.SeqLT(p.sndNxt, ack) {
@@ -261,12 +260,12 @@ func (e *Engine) processAck(p *pcb, th *netpkt.TCPHeader, hasPayload bool) {
 		}
 		e.detectLoss(p)
 	}
-	// Congestion control (byte-counted, RFC 3465).
+	// Congestion control.
 	if ls == nil || ls.recovery != recFast {
 		if p.cwnd < p.ssthresh {
 			p.cwnd += min32(acked, uint32(p.mss)) // slow start
 		} else {
-			p.cwnd += max32(uint32(p.mss)*min32(acked, p.cwnd)/p.cwnd, 1) // AIMD
+			p.cwnd += max32(uint32(p.mss)*uint32(p.mss)/p.cwnd, 1) // AIMD
 		}
 	}
 

@@ -57,11 +57,6 @@ func (e *Engine) output(p *pcb) {
 		avail := dataEnd - p.sndNxt
 		burst := min32(avail, min32(p.cwnd-pipe, wndEnd-p.sndNxt))
 		seg := e.segPayload(p)
-		if burst < seg && burst < avail && p.sndNxt != p.sndUna {
-			// Sender-side silly-window avoidance: wait for room for a
-			// full segment while ACKs are still due.
-			break
-		}
 		maxSeg := seg
 		if e.cfg.TSO {
 			maxSeg = TSOMaxBurst

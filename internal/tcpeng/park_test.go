@@ -56,8 +56,10 @@ func TestParkedTimeoutNeverRefires(t *testing.T) {
 		pi.now = pi.now.Add(100 * time.Millisecond)
 		pi.a.Tick(pi.now)
 	}
-	if got := pi.a.Stats().Retransmits; got != base.Retransmits {
-		t.Fatalf("parked pcb re-entered rtoFire: retransmits %d -> %d", base.Retransmits, got)
+	if got := pi.a.Stats(); got.Retransmits != base.Retransmits ||
+		got.RTOFires != base.RTOFires || got.TLPProbes != base.TLPProbes {
+		t.Fatalf("parked pcb's retransmission timer fired: retransmits %d -> %d, RTO fires %d -> %d, probes %d -> %d",
+			base.Retransmits, got.Retransmits, base.RTOFires, got.RTOFires, base.TLPProbes, got.TLPProbes)
 	}
 	if out := pi.a.DrainToIP(); len(out) != 0 {
 		t.Fatalf("parked pcb emitted %d segments", len(out))
@@ -109,8 +111,10 @@ func TestParkedResetNeverRefires(t *testing.T) {
 		pi.now = pi.now.Add(100 * time.Millisecond)
 		pi.a.Tick(pi.now)
 	}
-	if got := pi.a.Stats().Retransmits; got != base.Retransmits {
-		t.Fatalf("parked pcb re-entered rtoFire: retransmits %d -> %d", base.Retransmits, got)
+	if got := pi.a.Stats(); got.Retransmits != base.Retransmits ||
+		got.RTOFires != base.RTOFires || got.TLPProbes != base.TLPProbes {
+		t.Fatalf("parked pcb's retransmission timer fired: retransmits %d -> %d, RTO fires %d -> %d, probes %d -> %d",
+			base.Retransmits, got.Retransmits, base.RTOFires, got.RTOFires, base.TLPProbes, got.TLPProbes)
 	}
 	if out := pi.a.DrainToIP(); len(out) != 0 {
 		t.Fatalf("parked pcb emitted %d segments", len(out))
@@ -143,8 +147,9 @@ func TestRestoredEngineHasNoGhostTimers(t *testing.T) {
 		now = now.Add(time.Second)
 		b2.Tick(now)
 	}
-	if got := b2.Stats().Retransmits; got != 0 {
-		t.Fatalf("restored engine fired %d ghost retransmits", got)
+	if got := b2.Stats(); got.Retransmits != 0 || got.RTOFires != 0 || got.TLPProbes != 0 {
+		t.Fatalf("restored engine fired ghost timers: %d retransmits, %d RTO fires, %d probes",
+			got.Retransmits, got.RTOFires, got.TLPProbes)
 	}
 	if out := b2.DrainToIP(); len(out) != 0 {
 		t.Fatalf("restored engine emitted %d segments unprompted", len(out))

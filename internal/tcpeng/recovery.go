@@ -22,10 +22,9 @@ package tcpeng
 // Peers that do not negotiate SACK get NewReno: three duplicate ACKs start
 // recovery and every partial ACK retransmits the next hole.
 //
-// All of it lives behind pcb.loss, taken from a per-engine free list when a
-// connection first sends data or first queues out-of-order data and given
-// back once it has nothing outstanding and nothing queued, so idle
-// connections pay one nil pointer.
+// All of it lives behind pcb.loss, allocated when a connection first sends
+// data or first queues out-of-order data and dropped once it has nothing
+// outstanding and nothing queued, so idle connections pay one nil pointer.
 
 import (
 	"time"
@@ -64,8 +63,6 @@ const (
 	// tlpMin floors the probe timeout a few wheel ticks above the
 	// delayed-ACK delay.
 	tlpMin = time.Millisecond
-	// lossFreeMax caps the engine's free list of loss states.
-	lossFreeMax = 256
 )
 
 // txSeg is one scoreboard entry: the sequence range [start, end) as last
@@ -109,45 +106,26 @@ type lossState struct {
 	reoAt     time.Time // earliest RACK reordering deadline; zero = none
 }
 
-// lossFor returns p's loss state, taking one from the free list first.
+// lossFor returns p's loss state, allocating it on first use.
 func (e *Engine) lossFor(p *pcb) *lossState {
-	if p.loss != nil {
-		return p.loss
+	if p.loss == nil {
+		p.loss = &lossState{}
 	}
-	var ls *lossState
-	if n := len(e.lossFree); n > 0 {
-		ls = e.lossFree[n-1]
-		e.lossFree[n-1] = nil
-		e.lossFree = e.lossFree[:n-1]
-	} else {
-		ls = &lossState{}
-	}
-	p.loss = ls
-	return ls
+	return p.loss
 }
 
-// releaseLoss gives p's loss state back once nothing is outstanding and
-// nothing is queued out of order.
+// releaseLoss drops p's loss state once nothing is outstanding and nothing
+// is queued out of order.
 func (e *Engine) releaseLoss(p *pcb) {
-	ls := p.loss
-	if ls == nil || len(ls.segs) > 0 || len(ls.ooo) > 0 {
-		return
-	}
-	p.loss = nil
-	*ls = lossState{segs: ls.segs[:0], ooo: ls.ooo[:0]}
-	if len(e.lossFree) < lossFreeMax {
-		e.lossFree = append(e.lossFree, ls)
+	if ls := p.loss; ls != nil && len(ls.segs) == 0 && len(ls.ooo) == 0 {
+		p.loss = nil
 	}
 }
 
 // dropLoss discards p's loss state outright (teardown).
 func (e *Engine) dropLoss(p *pcb) {
-	if p.loss == nil {
-		return
-	}
 	e.dropOOO(p)
-	p.loss.segs = p.loss.segs[:0]
-	e.releaseLoss(p)
+	p.loss = nil
 }
 
 // dropOOO empties the out-of-order queue, giving its receive-pool

@@ -313,9 +313,6 @@ type Engine struct {
 	toIP    []msg.Req
 	toFront []msg.Req
 
-	// lossFree recycles loss states between busy periods (recovery.go).
-	lossFree []*lossState
-
 	stats Stats
 	now   time.Time // updated at every entry point
 
