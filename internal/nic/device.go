@@ -299,7 +299,9 @@ func (d *Device) Stats() Stats {
 // gathers the frame out of pool memory, applies offloads, and puts the
 // frame(s) on the wire. Wire backpressure propagates naturally: a saturated
 // link blocks here, the TX ring fills, and the driver reports ring-full to
-// IP.
+// IP. An idle engine blocks on txKick alone: PostTx appends under the lock
+// before it kicks, and the kick channel holds one pending kick, so a
+// descriptor posted after the engine found the ring empty always wakes it.
 func (d *Device) txEngine() {
 	defer d.wg.Done()
 	for {
@@ -324,8 +326,6 @@ func (d *Device) txEngine() {
 			case <-d.stop:
 				return
 			case <-d.txKick:
-				continue
-			case <-time.After(time.Millisecond):
 				continue
 			}
 		}

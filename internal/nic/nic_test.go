@@ -37,7 +37,7 @@ func buildFrame(t testing.TB, payload []byte, fill bool) []byte {
 	return f
 }
 
-func devicePair(t *testing.T, cfg WireConfig) (*Device, *Device, *shm.Space, func()) {
+func devicePair(t *testing.T, cfg WireConfig) (*Device, *Device, *shm.Space, *Wire, func()) {
 	t.Helper()
 	space := shm.NewSpace()
 	a := NewDevice(DeviceConfig{Name: "a", MAC: netpkt.MAC{1}, CsumOffload: true, TSOOffload: true}, space)
@@ -45,7 +45,7 @@ func devicePair(t *testing.T, cfg WireConfig) (*Device, *Device, *shm.Space, fun
 	w := NewWire(cfg)
 	w.AttachA(a)
 	w.AttachB(b)
-	return a, b, space, func() {
+	return a, b, space, w, func() {
 		w.Close()
 		a.Close()
 		b.Close()
@@ -53,7 +53,7 @@ func devicePair(t *testing.T, cfg WireConfig) (*Device, *Device, *shm.Space, fun
 }
 
 // postBuffers gives dev n receive buffers from a fresh pool.
-func postBuffers(t *testing.T, space *shm.Space, dev *Device, n int) *shm.Pool {
+func postBuffers(t testing.TB, space *shm.Space, dev *Device, n int) *shm.Pool {
 	t.Helper()
 	pool, err := space.NewPool("rx-"+dev.Name(), 2048, n)
 	if err != nil {
@@ -102,7 +102,7 @@ func waitTx(t *testing.T, dev *Device, want int) []TxCompletion {
 }
 
 func TestTransmitReceive(t *testing.T) {
-	a, b, space, done := devicePair(t, WireConfig{})
+	a, b, space, _, done := devicePair(t, WireConfig{})
 	defer done()
 	postBuffers(t, space, b, 4)
 
@@ -138,7 +138,7 @@ func TestTransmitReceive(t *testing.T) {
 }
 
 func TestGatherDMA(t *testing.T) {
-	a, b, space, done := devicePair(t, WireConfig{})
+	a, b, space, _, done := devicePair(t, WireConfig{})
 	defer done()
 	postBuffers(t, space, b, 2)
 	txPool, _ := space.NewPool("tx", 2048, 4)
@@ -164,7 +164,7 @@ func TestGatherDMA(t *testing.T) {
 }
 
 func TestChecksumOffloadTx(t *testing.T) {
-	a, b, space, done := devicePair(t, WireConfig{})
+	a, b, space, _, done := devicePair(t, WireConfig{})
 	defer done()
 	postBuffers(t, space, b, 2)
 	txPool, _ := space.NewPool("tx", 2048, 2)
@@ -186,7 +186,7 @@ func TestChecksumOffloadTx(t *testing.T) {
 }
 
 func TestRxChecksumDetectsCorruption(t *testing.T) {
-	a, b, space, done := devicePair(t, WireConfig{})
+	a, b, space, _, done := devicePair(t, WireConfig{})
 	defer done()
 	postBuffers(t, space, b, 2)
 	txPool, _ := space.NewPool("tx", 2048, 2)
@@ -254,7 +254,7 @@ func TestTSOSmallPayloadPassesThrough(t *testing.T) {
 }
 
 func TestTSOEndToEnd(t *testing.T) {
-	a, b, space, done := devicePair(t, WireConfig{})
+	a, b, space, _, done := devicePair(t, WireConfig{})
 	defer done()
 	postBuffers(t, space, b, 32)
 	txPool, _ := space.NewPool("tx", 16384, 2)
@@ -285,7 +285,7 @@ func TestTSOEndToEnd(t *testing.T) {
 }
 
 func TestOversizeWithoutTSOFails(t *testing.T) {
-	a, _, space, done := devicePair(t, WireConfig{})
+	a, _, space, _, done := devicePair(t, WireConfig{})
 	defer done()
 	txPool, _ := space.NewPool("tx", 16384, 2)
 	frame := buildFrame(t, bytes.Repeat([]byte("z"), 3000), true)
@@ -299,7 +299,7 @@ func TestOversizeWithoutTSOFails(t *testing.T) {
 }
 
 func TestRxDropWithoutBuffers(t *testing.T) {
-	a, b, space, done := devicePair(t, WireConfig{})
+	a, b, space, _, done := devicePair(t, WireConfig{})
 	defer done()
 	// No buffers posted on b.
 	txPool, _ := space.NewPool("tx", 2048, 2)
@@ -318,7 +318,7 @@ func TestRxDropWithoutBuffers(t *testing.T) {
 }
 
 func TestResetDropsRingAndRetrains(t *testing.T) {
-	a, b, space, done := devicePair(t, WireConfig{})
+	a, b, space, _, done := devicePair(t, WireConfig{})
 	defer done()
 	pool := postBuffers(t, space, b, 4)
 	_ = pool
@@ -372,7 +372,7 @@ func TestLinkDownDuringRetrain(t *testing.T) {
 }
 
 func TestSetLinkAdminDown(t *testing.T) {
-	a, b, space, done := devicePair(t, WireConfig{})
+	a, b, space, _, done := devicePair(t, WireConfig{})
 	defer done()
 	postBuffers(t, space, b, 4)
 	a.SetLink(false)
@@ -439,7 +439,7 @@ func TestSetLinkIRQAndRetrain(t *testing.T) {
 }
 
 func TestWireLoss(t *testing.T) {
-	a, b, space, done := devicePair(t, WireConfig{LossProb: 1.0, Seed: 1})
+	a, b, space, w, done := devicePair(t, WireConfig{LossProb: 1.0, Seed: 1})
 	defer done()
 	postBuffers(t, space, b, 4)
 	txPool, _ := space.NewPool("tx", 2048, 2)
@@ -448,58 +448,37 @@ func TestWireLoss(t *testing.T) {
 	copy(buf, frame)
 	_ = a.PostTx(TxDesc{Ptrs: []shm.RichPtr{ptr.Slice(0, uint32(len(frame)))}, Cookie: 1})
 	waitTx(t, a, 1)
-	time.Sleep(50 * time.Millisecond)
+	sent, lost := waitWireDecided(t, w, 1)
+	if sent != 0 || lost != 1 {
+		t.Fatalf("wire stats: sent %d, lost %d; want 0 sent, 1 lost", sent, lost)
+	}
 	if got := len(b.CollectRx()); got != 0 {
 		t.Fatalf("lossy wire delivered %d frames", got)
 	}
-	_, lost, _, _ := done2stats(t)
-	_ = lost
 }
-
-// done2stats is a placeholder keeping the test focused; wire stats are
-// covered in TestWireBandwidthShaping.
-func done2stats(t *testing.T) (uint64, uint64, uint64, uint64) { return 0, 1, 0, 0 }
 
 func TestWireBandwidthShaping(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
-	// 80 Mbit/s link; push 2 MB and expect ~200ms on the wire.
-	a, b, space, done := devicePair(t, WireConfig{BitsPerSec: 80e6})
+	// 80 Mbit/s link; push 1000 frames of 1454 bytes and time their
+	// arrival at the receiver: the last lands no sooner than 1000
+	// serialization times after the first was posted.
+	const frames, payload = 1000, 1400
+	cfg := WireConfig{BitsPerSec: 80e6}
+	a, b, space, _, done := devicePair(t, cfg)
 	defer done()
-	postBuffers(t, space, b, RxRingSize)
-	txPool, _ := space.NewPool("tx", 2048, 64)
-	frame := buildFrame(t, bytes.Repeat([]byte("b"), 1400), true)
-	ptrs := make([]shm.RichPtr, 0, 64)
-	for i := 0; i < 64; i++ {
-		ptr, buf, _ := txPool.Alloc()
-		copy(buf, frame)
-		ptrs = append(ptrs, ptr.Slice(0, uint32(len(frame))))
-	}
-	const frames = 1000
+	arrivals := recordArrivals(t, space, b, frames)
 	start := time.Now()
-	sent, seen := 0, 0
-	for sent < frames {
-		if err := a.PostTx(TxDesc{Ptrs: []shm.RichPtr{ptrs[sent%64]}, Cookie: uint64(sent)}); err != nil {
-			seen += len(a.CollectTx())
-			time.Sleep(100 * time.Microsecond)
-			continue
-		}
-		sent++
+	sendIndexed(t, space, a, 0, frames, payload)
+	var last arrival
+	for i := 0; i < frames; i++ {
+		last = waitArrival(t, arrivals)
 	}
-	// Drain completions until all sent frames are accounted for.
-	deadline := time.Now().Add(30 * time.Second)
-	for seen < frames && time.Now().Before(deadline) {
-		seen += len(a.CollectTx())
-		time.Sleep(time.Millisecond)
-	}
-	if seen < frames {
-		t.Fatalf("only %d/%d completions", seen, frames)
-	}
-	elapsed := time.Since(start)
-	wantMin := time.Duration(float64(frames*len(frame)*8) / 80e6 * float64(time.Second) * 8 / 10)
+	elapsed := last.at.Sub(start)
+	wantMin := time.Duration(0.95 * frames * float64(serialization(indexedFrameLen(payload), cfg.BitsPerSec)))
 	if elapsed < wantMin {
-		t.Fatalf("transmitted %d frames in %v; shaping too fast (want >= %v)", frames, elapsed, wantMin)
+		t.Fatalf("delivered %d frames in %v; shaping too fast (want >= %v)", frames, elapsed, wantMin)
 	}
 }
 

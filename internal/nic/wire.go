@@ -2,6 +2,9 @@
 // e1000-class device (descriptor rings, gather DMA out of shared pools,
 // checksum and TCP-segmentation offload, interrupts, reset) and the
 // full-duplex wire between two devices (bandwidth, latency, loss, MTU).
+// The wire paces each direction on one goroutine by timestamp bookkeeping
+// rather than by waiting (see wireDir.run): the emulator's CPU is harness
+// cost, not stack cost, and it must leave the processor to the stack.
 //
 // The paper evaluates on Intel PRO/1000 gigabit adapters; this package is
 // the substitution documented in DESIGN.md. It deliberately reproduces the
@@ -14,7 +17,9 @@ package nic
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -64,21 +69,36 @@ type Wire struct {
 	wg   sync.WaitGroup
 }
 
+// Pacing constants. They describe the emulator and the Go runtime, not the
+// modelled link, so they are not part of WireConfig.
+const (
+	// lookahead is how far ahead of now a direction books its link. Frames
+	// are admitted while the link is busy for less than this, so a pacing
+	// goroutine that wakes up to lookahead late still finds the link busy
+	// and the late wake-up costs no link time.
+	lookahead = 200 * time.Microsecond
+	// timerSlack is the runtime's timer granularity on an idle process (its
+	// poller sleeps in whole milliseconds). Deadlines nearer than this are
+	// met by yielding; farther ones sleep until timerSlack before them.
+	timerSlack = time.Millisecond
+)
+
 type wireDir struct {
 	cfg    WireConfig
 	frames chan []byte
-	// delayed carries frames through the propagation-latency stage; a
-	// dedicated goroutine delivers them strictly in order (per-frame
-	// timers would race and reorder segments).
-	delayed chan timedFrame
-	stop    chan struct{}
-	mu      sync.Mutex
-	dst     *Device
-	rng     *rand.Rand
-	sent    uint64
-	lost    uint64
+	stop   chan struct{}
+	mu     sync.Mutex
+	dst    *Device
+	rng    *rand.Rand
+	sent   atomic.Uint64
+	lost   atomic.Uint64
+
+	// Pacing state, owned by run.
+	busyUntil time.Time    // end of the last admitted frame's serialization
+	inFlight  []timedFrame // admitted, not yet delivered; due times ascend
 }
 
+// timedFrame is a frame on the wire, due at its receiver at due.
 type timedFrame struct {
 	due time.Time
 	f   []byte
@@ -90,11 +110,10 @@ func NewWire(cfg WireConfig) *Wire {
 	w := &Wire{cfg: cfg}
 	for i := range w.dirs {
 		w.dirs[i] = &wireDir{
-			cfg:     cfg,
-			frames:  make(chan []byte, cfg.QueueFrames),
-			delayed: make(chan timedFrame, cfg.QueueFrames*4),
-			stop:    make(chan struct{}),
-			rng:     rand.New(rand.NewSource(cfg.Seed + int64(i))),
+			cfg:    cfg,
+			frames: make(chan []byte, cfg.QueueFrames),
+			stop:   make(chan struct{}),
+			rng:    rand.New(rand.NewSource(cfg.Seed + int64(i))),
 		}
 	}
 	return w
@@ -128,14 +147,10 @@ func (w *Wire) attach(dev *Device, dir int) {
 		a.setPeer(b)
 		b.setPeer(a)
 	}
-	w.wg.Add(2)
+	w.wg.Add(1)
 	go func() {
 		defer w.wg.Done()
 		d.run()
-	}()
-	go func() {
-		defer w.wg.Done()
-		d.deliverLoop()
 	}()
 }
 
@@ -153,9 +168,10 @@ func (w *Wire) Close() {
 	w.wg.Wait()
 }
 
-// Stats returns frames sent and lost per direction (A->B, B->A).
+// Stats returns frames sent and lost per direction (A->B, B->A). It may be
+// called while the wire runs; a frame counts once its loss is decided.
 func (w *Wire) Stats() (sentAB, lostAB, sentBA, lostBA uint64) {
-	return w.dirs[0].sent, w.dirs[0].lost, w.dirs[1].sent, w.dirs[1].lost
+	return w.dirs[0].sent.Load(), w.dirs[0].lost.Load(), w.dirs[1].sent.Load(), w.dirs[1].lost.Load()
 }
 
 // transmit enqueues a frame for pacing; blocks when the direction's queue
@@ -170,99 +186,127 @@ func (d *wireDir) transmit(frame []byte) bool {
 	}
 }
 
-// run paces frames at line rate and delivers them to the destination
-// device, modelling serialization delay plus propagation latency.
+// run paces one direction: it admits frames from the TX queue, delivers
+// every frame that is due, and waits for the next deadline, all on one
+// goroutine.
 //
-// Per-frame serialization at gigabit rates (≈12µs per full frame) is far
-// below the sleep granularity of commodity timers, so pacing is done by
-// accounting: the link tracks the instant until which it is busy and only
-// actually sleeps once the accumulated debt exceeds a millisecond. Average
-// rate is exact; burstiness stays bounded at ~1ms of line rate.
+// Serialization and propagation are timestamps, not waits: a frame's
+// serialization starts when the link frees up (busyUntil, or now if the
+// link is idle) and it is due at the receiver Latency after it ends. Loss
+// is decided at admission, in admission order; a lost frame still used its
+// link time. Since busyUntil only grows, due times do too, and the
+// in-flight slice is delivered from its head in order.
+//
+// Frames are admitted while the link is booked less than lookahead ahead
+// and fewer than 4×QueueFrames are in flight; the QueueFrames channel stays
+// the TX backpressure. A deadline further off than timerSlack is slept on
+// one reused timer, which a new frame also ends while the link has room;
+// a nearer one is met by yielding the processor, never by spinning on the
+// clock, so the stack keeps the CPU the emulated wire does not need.
 func (d *wireDir) run() {
-	var busyUntil time.Time
+	d.inFlight = make([]timedFrame, 0, 4*d.cfg.QueueFrames)
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
 	for {
+		now := time.Now()
+		room := d.room(now)
+	admit:
+		for room {
+			select {
+			case f := <-d.frames:
+				d.admit(f, now)
+				room = d.room(now)
+			default:
+				break admit
+			}
+		}
+
+		n := 0
+		for n < len(d.inFlight) && !d.inFlight[n].due.After(now) {
+			n++
+		}
+		if n > 0 {
+			d.deliver(d.inFlight[:n])
+			k := copy(d.inFlight, d.inFlight[n:])
+			clear(d.inFlight[k:]) // drop delivered frames for the GC
+			d.inFlight = d.inFlight[:k]
+			continue
+		}
+
+		var next time.Time // zero: nothing to wait for but new frames
+		if len(d.inFlight) > 0 {
+			next = d.inFlight[0].due
+		}
+		if !room && len(d.inFlight) < cap(d.inFlight) {
+			if t := d.busyUntil.Add(-lookahead); next.IsZero() || t.Before(next) {
+				next = t
+			}
+		}
+		wait := next.Sub(now)
+		if !next.IsZero() && wait <= timerSlack {
+			select {
+			case <-d.stop:
+				return
+			default:
+			}
+			runtime.Gosched()
+			continue
+		}
+		var expired <-chan time.Time
+		if !next.IsZero() {
+			timer.Reset(wait - timerSlack)
+			expired = timer.C
+		}
+		var frames <-chan []byte
+		if room {
+			frames = d.frames
+		}
 		select {
 		case <-d.stop:
+			timer.Stop()
 			return
-		case f := <-d.frames:
-			if d.cfg.BitsPerSec > 0 {
-				now := time.Now()
-				if busyUntil.Before(now) {
-					busyUntil = now
-				}
-				ser := time.Duration(float64(len(f)*8) / d.cfg.BitsPerSec * float64(time.Second))
-				busyUntil = busyUntil.Add(ser)
-				// Pace by spinning to the exact serialization instant:
-				// sleeping quantizes to OS timer granularity (~100µs),
-				// which would add artificial RTT bubbles that a real link
-				// does not have. Long debts (bursts far ahead of line
-				// rate) still sleep coarsely first.
-				if debt := busyUntil.Sub(now); debt > 2*time.Millisecond {
-					d.sleep(debt - time.Millisecond)
-				}
-				for time.Now().Before(busyUntil) {
-				}
-			}
-			if d.cfg.LossProb > 0 && d.rng.Float64() < d.cfg.LossProb {
-				d.lost++
-				continue
-			}
-			d.sent++
-			if d.cfg.Latency > 0 {
-				select {
-				case d.delayed <- timedFrame{due: time.Now().Add(d.cfg.Latency), f: f}:
-				case <-d.stop:
-					return
-				}
-				continue
-			}
-			d.mu.Lock()
-			dst := d.dst
-			d.mu.Unlock()
-			if dst != nil {
-				dst.receiveFrame(f)
-			}
+		case <-expired:
+		case f := <-frames:
+			timer.Stop()
+			d.admit(f, time.Now())
 		}
 	}
 }
 
-// deliverLoop applies propagation latency while preserving frame order.
-func (d *wireDir) deliverLoop() {
-	for {
-		select {
-		case <-d.stop:
-			return
-		case tf := <-d.delayed:
-			// Sub-timer-granularity latencies must spin: a 5µs
-			// propagation delay slept through the OS timer would
-			// serialize delivery at ~100µs per frame.
-			if wait := time.Until(tf.due); wait > 500*time.Microsecond {
-				d.sleep(wait)
-			} else {
-				for time.Now().Before(tf.due) {
-				}
-			}
-			d.mu.Lock()
-			dst := d.dst
-			d.mu.Unlock()
-			if dst != nil {
-				dst.receiveFrame(tf.f)
-			}
-		}
-	}
+// room reports whether the link may admit another frame at now: fewer than
+// 4×QueueFrames are in flight and the link is booked less than lookahead
+// ahead.
+func (d *wireDir) room(now time.Time) bool {
+	return len(d.inFlight) < cap(d.inFlight) && d.busyUntil.Sub(now) < lookahead
 }
 
-// sleep waits d (or less if stopping). Very short serialization delays are
-// accumulated rather than slept to avoid timer-granularity distortion.
-func (d *wireDir) sleep(dur time.Duration) {
-	if dur <= 0 {
+// admit books f on the link at now and decides its loss; a frame that is
+// not lost joins the in-flight frames.
+func (d *wireDir) admit(f []byte, now time.Time) {
+	if d.busyUntil.Before(now) {
+		d.busyUntil = now
+	}
+	if d.cfg.BitsPerSec > 0 {
+		d.busyUntil = d.busyUntil.Add(time.Duration(float64(len(f)*8) / d.cfg.BitsPerSec * float64(time.Second)))
+	}
+	if d.cfg.LossProb > 0 && d.rng.Float64() < d.cfg.LossProb {
+		d.lost.Add(1)
 		return
 	}
-	t := time.NewTimer(dur)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-d.stop:
+	d.sent.Add(1)
+	d.inFlight = append(d.inFlight, timedFrame{due: d.busyUntil.Add(d.cfg.Latency), f: f})
+}
+
+// deliver hands a batch of due frames, in order, to the receiving device.
+func (d *wireDir) deliver(batch []timedFrame) {
+	d.mu.Lock()
+	dst := d.dst
+	d.mu.Unlock()
+	if dst == nil {
+		return
+	}
+	for _, tf := range batch {
+		dst.receiveFrame(tf.f)
 	}
 }
 
